@@ -54,7 +54,7 @@ diagCodeName(DiagCode code)
 }
 
 DiagCode
-diagCodeFromName(const std::string& name)
+diagCodeFromName(std::string_view name)
 {
     static const DiagCode all[] = {
         DiagCode::Ok,

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dhdl {
 
@@ -53,7 +54,7 @@ enum class DiagCode : uint8_t {
 const char* diagCodeName(DiagCode code);
 
 /** Inverse of diagCodeName(); DiagCode::Unknown for unknown names. */
-DiagCode diagCodeFromName(const std::string& name);
+DiagCode diagCodeFromName(std::string_view name);
 
 /** Raised for user-caused errors: malformed designs, illegal bindings. */
 class FatalError : public std::runtime_error

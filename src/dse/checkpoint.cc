@@ -3,88 +3,133 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "core/checksum.hh"
 #include "core/faultinject.hh"
 #include "core/printer.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 namespace dhdl::dse {
 
 namespace {
 
-constexpr const char* kMagicV2 = "# dhdl-explore-checkpoint v2";
-constexpr const char* kMagicV1 = "# dhdl-explore-checkpoint v1";
+constexpr std::string_view kMagicPrefix = "# dhdl-explore-checkpoint ";
+constexpr std::string_view kMagicV2 = "# dhdl-explore-checkpoint v2";
 
-std::string
-hex16(uint64_t v)
+/** Append `v` as `digits` lowercase hex digits, zero-padded. */
+void
+appendHex(std::string& out, uint64_t v, int digits)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  (unsigned long long)v);
-    return buf;
+    static constexpr char kHex[] = "0123456789abcdef";
+    char buf[16];
+    for (int i = digits - 1; i >= 0; --i, v >>= 4)
+        buf[i] = kHex[v & 0xf];
+    out.append(buf, size_t(digits));
 }
 
-std::string
-hex8(uint32_t v)
+template <typename T>
+void
+appendInt(std::string& out, T v)
 {
-    char buf[9];
-    std::snprintf(buf, sizeof buf, "%08x", (unsigned)v);
-    return buf;
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-/** Split a row on the first n commas; element n is the remainder. */
-std::vector<std::string>
-splitFields(const std::string& line, size_t n)
+/** `%.17g`, byte for byte the historical `setprecision(17)` form:
+ *  enough digits that every double reloads bit-identically. */
+void
+appendDouble(std::string& out, double v)
 {
-    std::vector<std::string> out;
-    size_t pos = 0;
-    for (size_t i = 0; i < n; ++i) {
-        size_t comma = line.find(',', pos);
-        if (comma == std::string::npos)
-            return out; // short row; caller rejects
-        out.push_back(line.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    out.push_back(line.substr(pos));
-    return out;
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                  std::chars_format::general, 17)
+                        .ptr);
 }
 
-/** One record's payload (everything before the trailing CRC field).
+/** Free-form text with the characters that would break the line
+ *  (and, with `commas`, the field) structure replaced. */
+void
+appendClean(std::string& out, const std::string& s, bool commas)
+{
+    for (char c : s)
+        out.push_back(c == '\n' ? ' ' : commas && c == ',' ? ';' : c);
+}
+
+/** Append one record's finished line, `payload,crc32\n`.
  *  `withRound` inserts the search-round column (non-random
  *  strategies only, keeping historical files byte-identical). */
-std::string
-renderRecord(size_t index, const DesignPoint& p, bool withRound)
+void
+appendRecord(std::string& out, size_t index, const DesignPoint& p,
+             bool withRound)
 {
-    std::ostringstream os;
-    os << std::setprecision(17);
-    // Stage and reason are free-form; strip the characters that
-    // would break the line/field structure.
-    auto clean = [](std::string s, bool commas) {
-        std::replace(s.begin(), s.end(), '\n', ' ');
-        if (commas)
-            std::replace(s.begin(), s.end(), ',', ';');
-        return s;
-    };
-    os << index << "," << (p.valid ? 1 : 0) << ","
-       << (p.failed ? 1 : 0) << "," << diagCodeName(p.failCode)
-       << "," << clean(p.failStage, true) << "," << p.area.alms
-       << "," << p.area.luts << "," << p.area.regs << ","
-       << p.area.dsps << "," << p.area.brams << "," << p.cycles
-       << ",";
-    for (size_t j = 0; j < p.binding.values.size(); ++j)
-        os << (j ? " " : "") << p.binding.values[j];
-    if (withRound)
-        os << "," << p.round;
+    const size_t start = out.size();
+    appendInt(out, index);
+    out += p.valid ? ",1," : ",0,";
+    out += p.failed ? "1," : "0,";
+    out += diagCodeName(p.failCode);
+    out += ',';
+    appendClean(out, p.failStage, true);
+    for (double v : {p.area.alms, p.area.luts, p.area.regs, p.area.dsps,
+                     p.area.brams, p.cycles}) {
+        out += ',';
+        appendDouble(out, v);
+    }
+    out += ',';
+    for (size_t j = 0; j < p.binding.values.size(); ++j) {
+        if (j)
+            out += ' ';
+        appendInt(out, p.binding.values[j]);
+    }
+    if (withRound) {
+        out += ',';
+        appendInt(out, p.round);
+    }
     // The reason may contain commas; it is delimited by the CRC
     // being the *last* comma-field of the line.
-    os << "," << clean(p.failReason, false);
-    return os.str();
+    out += ',';
+    appendClean(out, p.failReason, false);
+    const uint32_t crc = crc32(std::string_view(out).substr(start));
+    out += ',';
+    appendHex(out, crc, 8);
+    out += '\n';
+}
+
+/** Parse all of `s` as a T; false unless every byte is consumed
+ *  (so `1.5abc` is malformed, not 1.5). */
+template <typename T>
+bool
+parseAll(std::string_view s, T& out)
+{
+    const char* end = s.data() + s.size();
+    auto r = std::from_chars(s.data(), end, out);
+    return r.ec == std::errc() && r.ptr == end;
+}
+
+/** The space-separated binding values of `s` into `out`; false when
+ *  a value is malformed. */
+bool
+parseBinding(std::string_view s, std::vector<int64_t>& out)
+{
+    out.clear();
+    while (!s.empty()) {
+        const size_t sp = s.find(' ');
+        int64_t v = 0;
+        if (!parseAll(s.substr(0, sp), v))
+            return false;
+        out.push_back(v);
+        if (sp == std::string_view::npos)
+            break;
+        s.remove_prefix(sp + 1);
+    }
+    return true;
 }
 
 /** Write `bytes` to an fd completely; false on any error. */
@@ -183,34 +228,100 @@ makeCheckpointMeta(const Graph& g, const ParamSpace& space,
     return meta;
 }
 
+CheckpointWriter::CheckpointWriter(const CheckpointMeta& meta)
+    : withRound_(!meta.strategy.empty() && meta.strategy != "random")
+{
+    header_ = kMagicV2;
+    header_ += "\n# design=";
+    appendHex(header_, meta.designHash, 16);
+    header_ += " space=";
+    appendHex(header_, meta.spaceHash, 16);
+    header_ += " seed=";
+    appendInt(header_, meta.seed);
+    header_ += " total=";
+    appendInt(header_, meta.total);
+    header_ += " nparams=";
+    appendInt(header_, meta.nparams);
+    header_ += '\n';
+    if (withRound_) {
+        header_ += "# strategy=" + meta.strategy + "\n";
+        header_ += "# columns: index,valid,failed,failcode,failstage,"
+                   "alms,luts,regs,dsps,brams,cycles,binding,round,"
+                   "failreason,crc32\n";
+    } else {
+        header_ += "# columns: index,valid,failed,failcode,failstage,"
+                   "alms,luts,regs,dsps,brams,cycles,binding,"
+                   "failreason,crc32\n";
+    }
+}
+
+const std::string&
+CheckpointWriter::render(const std::vector<DesignPoint>& points)
+{
+    if (lines_.size() < points.size())
+        lines_.resize(points.size());
+    uint64_t rendered = 0;
+    content_.assign(header_);
+    for (size_t i = 0; i < points.size(); ++i) {
+        if (!points[i].evaluated)
+            continue;
+        Line& l = lines_[i];
+        if (l.len == 0) {
+            l.off = arena_.size();
+            appendRecord(arena_, i, points[i], withRound_);
+            l.len = arena_.size() - l.off;
+            ++rendered;
+        }
+        content_.append(arena_, l.off, l.len);
+    }
+    if (rendered > 0 && obs::enabled()) {
+        static const obs::Counter cRendered("dse.checkpoint.rendered");
+        cRendered.add(rendered);
+    }
+    return content_;
+}
+
+bool
+CheckpointWriter::write(const std::string& path,
+                        const std::vector<DesignPoint>& points)
+{
+    DHDL_OBS_SPAN("dse", "checkpoint-write");
+    render(points);
+    // content_ is reassembled from the cache by every render(), so an
+    // injected fault damages this write's bytes and nothing after.
+    const bool torn = injectFaults(content_);
+    if (obs::enabled()) {
+        static const obs::Counter cWrites("dse.checkpoint.writes");
+        static const obs::Counter cBytes("dse.checkpoint.bytes");
+        cWrites.add(1);
+        cBytes.add(content_.size());
+    }
+    if (torn) {
+        // Torn-tail injection: bypass the atomic protocol on
+        // purpose, leaving exactly the file a killed non-atomic
+        // writer would have left.
+        std::ofstream os(path, std::ios::trunc | std::ios::binary);
+        os << content_;
+        return bool(os);
+    }
+    std::string tmp = path + ".tmp";
+    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0)
+        return false;
+    bool ok = writeAll(fd, content_) && ::fsync(fd) == 0;
+    ok = (::close(fd) == 0) && ok;
+    ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+    if (!ok)
+        std::remove(tmp.c_str());
+    return ok;
+}
+
 std::string
 renderCheckpoint(const CheckpointMeta& meta,
                  const std::vector<DesignPoint>& points)
 {
-    const bool withRound =
-        !meta.strategy.empty() && meta.strategy != "random";
-    std::ostringstream os;
-    os << kMagicV2 << "\n";
-    os << "# design=" << hex16(meta.designHash)
-       << " space=" << hex16(meta.spaceHash) << " seed=" << meta.seed
-       << " total=" << meta.total << " nparams=" << meta.nparams
-       << "\n";
-    if (withRound) {
-        os << "# strategy=" << meta.strategy << "\n";
-        os << "# columns: index,valid,failed,failcode,failstage,alms,"
-              "luts,regs,dsps,brams,cycles,binding,round,failreason,"
-              "crc32\n";
-    } else {
-        os << "# columns: index,valid,failed,failcode,failstage,alms,"
-              "luts,regs,dsps,brams,cycles,binding,failreason,crc32\n";
-    }
-    for (size_t i = 0; i < points.size(); ++i) {
-        if (!points[i].evaluated)
-            continue;
-        std::string payload = renderRecord(i, points[i], withRound);
-        os << payload << "," << hex8(crc32(payload)) << "\n";
-    }
-    return os.str();
+    CheckpointWriter w(meta);
+    return w.render(points);
 }
 
 bool
@@ -218,26 +329,8 @@ writeCheckpointFile(const std::string& path,
                     const CheckpointMeta& meta,
                     const std::vector<DesignPoint>& points)
 {
-    std::string content = renderCheckpoint(meta, points);
-    if (injectFaults(content)) {
-        // Torn-tail injection: bypass the atomic protocol on
-        // purpose, leaving exactly the file a killed v1-style
-        // writer would have left.
-        std::ofstream os(path, std::ios::trunc | std::ios::binary);
-        os << content;
-        return bool(os);
-    }
-    std::string tmp = path + ".tmp";
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        return false;
-    bool ok = writeAll(fd, content) && ::fsync(fd) == 0;
-    ok = (::close(fd) == 0) && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
+    CheckpointWriter w(meta);
+    return w.write(path, points);
 }
 
 Status
@@ -246,6 +339,7 @@ loadCheckpointFile(const std::string& path, const Graph& g,
                    std::vector<DesignPoint>& points, DiagSink& sink,
                    CheckpointLoadStats* statsOut)
 {
+    DHDL_OBS_SPAN("dse", "checkpoint-load");
     CheckpointLoadStats ls;
     auto finish = [&] {
         if (statsOut)
@@ -286,24 +380,34 @@ loadCheckpointFile(const std::string& path, const Graph& g,
         d.message = "checkpoint '" + path + "' not found";
         return Status::error(std::move(d));
     }
-
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(is, line))
-        lines.push_back(line);
+    // The whole file in one buffer; every line and field below is a
+    // view into it.
+    std::ostringstream slurp;
+    slurp << is.rdbuf();
+    const std::string content = std::move(slurp).str();
+    std::vector<std::string_view> lines;
+    for (std::string_view rest = content; !rest.empty();) {
+        const size_t nl = rest.find('\n');
+        lines.push_back(rest.substr(0, nl));
+        if (nl == std::string_view::npos)
+            break;
+        rest.remove_prefix(nl + 1);
+    }
     if (lines.empty()) {
         finish();
         return mismatch(path, "file is empty");
     }
 
-    bool legacy = false;
-    if (lines[0] == kMagicV1)
-        legacy = true;
-    else if (lines[0] != kMagicV2) {
+    if (lines[0] != kMagicV2) {
         finish();
+        if (lines[0].starts_with(kMagicPrefix))
+            return mismatch(
+                path, "format " +
+                          std::string(lines[0].substr(
+                              kMagicPrefix.size())) +
+                          " is not supported (only v2 is read)");
         return mismatch(path, "unknown format");
     }
-    ls.legacy = legacy;
 
     // Header validation: every identity field must agree before a
     // single record is merged.
@@ -311,16 +415,11 @@ loadCheckpointFile(const std::string& path, const Graph& g,
     unsigned long long design = 0, spaceHash = 0;
     size_t total = 0, nparams = 0;
     if (lines.size() < 2 ||
-        (legacy
-             ? std::sscanf(lines[1].c_str(),
-                           "# seed=%llu total=%zu nparams=%zu",
-                           &seed, &total, &nparams) != 3
-             : std::sscanf(
-                   lines[1].c_str(),
-                   "# design=%llx space=%llx seed=%llu total=%zu "
-                   "nparams=%zu",
-                   &design, &spaceHash, &seed, &total,
-                   &nparams) != 5)) {
+        std::sscanf(std::string(lines[1]).c_str(),
+                    "# design=%llx space=%llx seed=%llu total=%zu "
+                    "nparams=%zu",
+                    &design, &spaceHash, &seed, &total,
+                    &nparams) != 5) {
         finish();
         return mismatch(path, "malformed header");
     }
@@ -329,10 +428,8 @@ loadCheckpointFile(const std::string& path, const Graph& g,
         if (!same)
             why += why.empty() ? what : (std::string(", ") + what);
     };
-    if (!legacy) {
-        check(design == expect.designHash, "design");
-        check(spaceHash == expect.spaceHash, "parameter space");
-    }
+    check(design == expect.designHash, "design");
+    check(spaceHash == expect.spaceHash, "parameter space");
     check(seed == expect.seed, "seed");
     check(total == expect.total, "sample count");
     check(nparams == expect.nparams, "parameter count");
@@ -349,7 +446,7 @@ loadCheckpointFile(const std::string& path, const Graph& g,
     for (size_t li = 2; li < lines.size(); ++li) {
         if (lines[li].empty() || lines[li][0] != '#')
             break;
-        if (lines[li].rfind("# strategy=", 0) == 0)
+        if (lines[li].starts_with("# strategy="))
             hasRound = true;
     }
 
@@ -363,8 +460,16 @@ loadCheckpointFile(const std::string& path, const Graph& g,
         }
     }
 
+    // Payloads carry failstage between failcode and alms, and a round
+    // column before failreason when strategy-tagged.
+    constexpr size_t kNum = 5; // alms..cycles
+    constexpr size_t kBind = kNum + 6;
+    const size_t ncommas = hasRound ? 13 : 12;
+    std::array<std::string_view, 14> f;
+    std::vector<int64_t> vals;
+    std::string crcText;
     for (size_t li = 2; li < lines.size(); ++li) {
-        const std::string& row = lines[li];
+        const std::string_view row = lines[li];
         if (row.empty() || row[0] == '#')
             continue;
         const bool isTail = li == lastData;
@@ -372,36 +477,35 @@ loadCheckpointFile(const std::string& path, const Graph& g,
             (isTail ? ls.truncated : ls.corrupt)++;
         };
 
-        std::string payload = row;
-        if (!legacy) {
-            size_t comma = row.rfind(',');
-            if (comma == std::string::npos) {
-                damaged();
-                continue;
-            }
-            payload = row.substr(0, comma);
-            std::string crcField = row.substr(comma + 1);
-            if (crcField.size() != 8 ||
-                crcField != hex8(crc32(payload))) {
-                damaged();
-                continue;
-            }
-        }
-        // v2 payloads carry failstage between failcode and alms (and
-        // a round column before failreason when strategy-tagged).
-        const size_t ncommas = legacy ? 11 : (hasRound ? 13 : 12);
-        auto f = splitFields(payload, ncommas);
-        if (f.size() != ncommas + 1) {
+        const size_t comma = row.rfind(',');
+        if (comma == std::string_view::npos) {
             damaged();
             continue;
         }
-        const size_t stageAt = legacy ? 0 : 4; // 0 = absent
-        const size_t numAt = legacy ? 4 : 5;   // alms..cycles
-        const size_t bindAt = numAt + 6;
+        const std::string_view payload = row.substr(0, comma);
+        crcText.clear();
+        appendHex(crcText, crc32(payload), 8);
+        if (row.substr(comma + 1) != crcText) {
+            damaged();
+            continue;
+        }
+        std::string_view rest = payload;
+        size_t nf = 0;
+        for (; nf < ncommas; ++nf) {
+            const size_t c = rest.find(',');
+            if (c == std::string_view::npos)
+                break;
+            f[nf] = rest.substr(0, c);
+            rest.remove_prefix(c + 1);
+        }
+        if (nf != ncommas) {
+            damaged();
+            continue;
+        }
+        f[ncommas] = rest;
+
         size_t idx = 0;
-        try {
-            idx = size_t(std::stoull(f[0]));
-        } catch (const std::exception&) {
+        if (!parseAll(f[0], idx) || !parseBinding(f[kBind], vals)) {
             damaged();
             continue;
         }
@@ -412,35 +516,33 @@ loadCheckpointFile(const std::string& path, const Graph& g,
         DesignPoint& p = points[idx];
         // Guard against a stale file: the stored binding must match
         // the binding sampled at this index this run.
-        std::istringstream bs(f[bindAt]);
-        std::vector<int64_t> vals;
-        int64_t v;
-        while (bs >> v)
-            vals.push_back(v);
         if (vals != p.binding.values) {
             ++ls.stale;
             continue;
         }
-        try {
-            p.valid = f[1] == "1";
-            p.failed = f[2] == "1";
-            p.failCode = diagCodeFromName(f[3]);
-            p.area.alms = std::stod(f[numAt + 0]);
-            p.area.luts = std::stod(f[numAt + 1]);
-            p.area.regs = std::stod(f[numAt + 2]);
-            p.area.dsps = std::stod(f[numAt + 3]);
-            p.area.brams = std::stod(f[numAt + 4]);
-            p.cycles = std::stod(f[numAt + 5]);
-            p.round = hasRound ? int32_t(std::stol(f[bindAt + 1]))
-                               : int32_t(-1);
-        } catch (const std::exception&) {
-            p = DesignPoint{};
-            p.binding.values = std::move(vals);
+        std::array<double, 6> num{};
+        int32_t round = -1;
+        bool ok = true;
+        for (size_t k = 0; k < num.size(); ++k)
+            ok = ok && parseAll(f[kNum + k], num[k]);
+        if (hasRound)
+            ok = ok && parseAll(f[kBind + 1], round);
+        if (!ok) {
             damaged();
             continue;
         }
-        p.failStage = stageAt ? f[stageAt] : "";
-        p.failReason = f[bindAt + (hasRound ? 2 : 1)];
+        p.valid = f[1] == "1";
+        p.failed = f[2] == "1";
+        p.failCode = diagCodeFromName(f[3]);
+        p.failStage = f[4];
+        p.area.alms = num[0];
+        p.area.luts = num[1];
+        p.area.regs = num[2];
+        p.area.dsps = num[3];
+        p.area.brams = num[4];
+        p.cycles = num[5];
+        p.round = round;
+        p.failReason = f[kBind + (hasRound ? 2 : 1)];
         p.evaluated = true;
         ++ls.restored;
         if (p.failed) {

@@ -35,15 +35,16 @@
  *  - **Diag fidelity**: records persist the failing pipeline stage,
  *    so a restored failure re-surfaces a diagnostic byte-identical
  *    (in code/stage/message/point) to the live run's.
- *
- * The v1 format (no CRC, no design/space hashes) is still read:
- * malformed or torn trailing lines are skipped and counted instead
- * of mis-parsing, and header fields that v1 carries are validated.
+ *  - **Render once**: a CheckpointWriter renders each record the
+ *    first time its point is evaluated and keeps the finished line,
+ *    so every later write of the same exploration is one copy of the
+ *    file plus the I/O.
  */
 
 #ifndef DHDL_DSE_CHECKPOINT_HH
 #define DHDL_DSE_CHECKPOINT_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -80,19 +81,56 @@ CheckpointMeta makeCheckpointMeta(const Graph& g,
                                   uint64_t seed, size_t total);
 
 /**
- * Serialize every evaluated point under the header. Deterministic:
- * identical points yield identical bytes, which shard-merge
- * byte-identity and the golden suite pin.
+ * Renders the checkpoint of one exploration, write after write. The
+ * header is rendered on construction; each record is rendered the
+ * first time its point shows up as evaluated and its finished line
+ * (`payload,crc32\n`) is cached, so a run of N points and W writes
+ * renders N records rather than N·W. A cached line is never
+ * re-rendered: an evaluated point must not change afterwards, which
+ * SearchDriver guarantees (points only ever become evaluated).
  */
+class CheckpointWriter
+{
+  public:
+    explicit CheckpointWriter(const CheckpointMeta& meta);
+
+    /**
+     * The file for `points`: the header, then the line of every
+     * evaluated point in index order. Deterministic: identical points
+     * yield identical bytes, which shard-merge byte-identity and the
+     * golden suite pin. The reference is valid until the next call.
+     */
+    const std::string& render(const std::vector<DesignPoint>& points);
+
+    /**
+     * Atomically persist render(points): temp file in the same
+     * directory, fsync, rename. Returns false on I/O failure (caller
+     * reports; exploration continues) and leaves no temp file.
+     * Fault-injection points `torn-checkpoint` and `corrupt-record`
+     * act on this write's bytes only, never on the cache.
+     */
+    bool write(const std::string& path,
+               const std::vector<DesignPoint>& points);
+
+  private:
+    /** Where point i's cached line sits in arena_; len 0 = none. */
+    struct Line {
+        size_t off = 0;
+        size_t len = 0;
+    };
+
+    std::string header_;
+    bool withRound_ = false;
+    std::string arena_;       //!< Every cached line, in render order.
+    std::vector<Line> lines_; //!< Indexed by point index.
+    std::string content_;     //!< The last assembled file.
+};
+
+/** The file a fresh CheckpointWriter renders for `points`. */
 std::string renderCheckpoint(const CheckpointMeta& meta,
                              const std::vector<DesignPoint>& points);
 
-/**
- * Atomically persist a checkpoint batch: temp file in the same
- * directory, fsync, rename. Returns false on I/O failure (caller
- * reports; exploration continues). Fault-injection points
- * `torn-checkpoint` and `corrupt-record` act here.
- */
+/** One write of a fresh CheckpointWriter (see its write()). */
 bool writeCheckpointFile(const std::string& path,
                          const CheckpointMeta& meta,
                          const std::vector<DesignPoint>& points);
@@ -103,7 +141,6 @@ struct CheckpointLoadStats {
     size_t truncated = 0; //!< Torn-tail records dropped.
     size_t corrupt = 0;   //!< Mid-file CRC failures skipped.
     size_t stale = 0;     //!< Index/binding mismatches skipped.
-    bool legacy = false;  //!< File was the v1 format.
 };
 
 /**
@@ -111,9 +148,11 @@ struct CheckpointLoadStats {
  * must already hold this run's sample set).
  *
  * Returns an error Status — with nothing restored — when the file is
- * missing (CheckpointIo) or when its header identifies a different
- * exploration (CheckpointMismatch: design, space, seed, sample count
- * or parameter count disagree). The caller chooses the policy:
+ * missing (CheckpointIo), is not the v2 format (CheckpointMismatch;
+ * v1 files are refused as unsupported), or when its header identifies
+ * a different exploration (CheckpointMismatch: design, space, seed,
+ * sample count or parameter count disagree). The caller chooses the
+ * policy:
  * resume downgrades to a warning and starts fresh; shard merge
  * reports the shard missing.
  *

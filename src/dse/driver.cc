@@ -260,13 +260,20 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
     if (!tpool)
         serial.emplace(area_, runtime_, g, plan);
 
+    // One writer per explore: each record is rendered once, the
+    // first write after its point is evaluated (or restored).
+    std::optional<CheckpointWriter> ckWriter;
+    if (!cfg.checkpointPath.empty())
+        ckWriter.emplace(meta);
     bool ckFailed = false;
     auto checkpoint = [&]() {
-        if (cfg.checkpointPath.empty())
+        if (!ckWriter)
             return;
-        if (!writeCheckpointFile(cfg.checkpointPath, meta,
-                                 res.points) &&
-            !ckFailed) {
+        const bool written =
+            ckWriter->write(cfg.checkpointPath, res.points);
+        if (cfg.onCheckpoint)
+            cfg.onCheckpoint(res.points, written);
+        if (!written && !ckFailed) {
             ckFailed = true;
             Diag d;
             d.code = DiagCode::CheckpointIo;

@@ -181,6 +181,14 @@ struct ExploreConfig {
         onRound;
 
     /**
+     * Called on the exploring thread after every checkpoint write,
+     * with the points the write covered and whether it reached the
+     * disk. Never called concurrently.
+     */
+    std::function<void(const std::vector<DesignPoint>&, bool)>
+        onCheckpoint;
+
+    /**
      * Cooperative cancel: when set and it becomes true, the run stops
      * at the next batch boundary exactly like an expired wall clock —
      * remaining points are skipped (and later resumable), a Cancelled

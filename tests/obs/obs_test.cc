@@ -5,13 +5,16 @@
  * buffers wrap by dropping oldest events (and say so), and the
  * Chrome-trace / metrics JSON exports are well-formed — verified by
  * parsing them back with a minimal JSON reader written here, so no
- * external dependency is needed.
+ * external dependency is needed. The checkpoint layer's counters and
+ * spans are asserted on a real checkpointed explore and resume.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,6 +24,8 @@
 #include <thread>
 #include <vector>
 
+#include "apps/apps.hh"
+#include "dse/explorer.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -495,6 +500,86 @@ TEST(ObsTraceTest, LongNamesAreTruncatedNotCorrupted)
                   std::string(kTraceNameCap - 1, 'n'));
     }
     EXPECT_TRUE(found);
+}
+
+// ---------------------------------------------------- checkpoint layer
+
+dse::Explorer&
+explorer()
+{
+    static est::RuntimeEstimator rt;
+    static dse::Explorer ex(est::calibratedEstimator(), rt);
+    return ex;
+}
+
+/** Names of the complete spans recorded so far. */
+std::multiset<std::string>
+spanNames()
+{
+    std::ostringstream os;
+    writeChromeTrace(os);
+    Json root = JsonParser(os.str()).parse();
+    std::multiset<std::string> names;
+    for (const auto& e : root.at("traceEvents").array)
+        if (e->at("ph").str == "X")
+            names.insert(e->at("cat").str + "/" + e->at("name").str);
+    return names;
+}
+
+TEST(ObsCheckpointTest, WritesAndLoadsAreCountedAndTraced)
+{
+    const std::string path =
+        ::testing::TempDir() + "dhdl_obs_ckpt.ckpt";
+    std::remove(path.c_str());
+    Design d = apps::buildDotproduct({960000});
+    dse::ExploreConfig cfg;
+    cfg.maxPoints = 60;
+    cfg.checkpointEvery = 25;
+    cfg.checkpointPath = path;
+    uint64_t writes = 0, bytes = 0;
+    cfg.onCheckpoint = [&](const std::vector<dse::DesignPoint>&, bool) {
+        ++writes;
+        std::ifstream is(path, std::ios::binary | std::ios::ate);
+        bytes += uint64_t(is.tellg());
+    };
+    explorer(); // calibrate outside the recorded window
+
+    ScopedEnable on(true);
+    resetMetrics();
+    resetTrace();
+    auto res = explorer().explore(d.graph(), cfg);
+    ASSERT_EQ(res.stats.evaluated, 60u);
+    auto m = snapshotMetrics();
+    EXPECT_EQ(writes, 3u); // after 25, 50 and 60 evaluations
+    EXPECT_EQ(m.counter("dse.checkpoint.writes"), writes);
+    EXPECT_EQ(m.counter("dse.checkpoint.bytes"), bytes);
+    // Render once: one record per evaluated point over all writes.
+    EXPECT_EQ(m.counter("dse.checkpoint.rendered"), res.stats.evaluated);
+    EXPECT_EQ(spanNames().count("dse/checkpoint-write"), writes);
+
+    resetMetrics();
+    resetTrace();
+    cfg.resume = true;
+    auto again = explorer().explore(d.graph(), cfg);
+    m = snapshotMetrics();
+    EXPECT_EQ(again.stats.resumed, 60u);
+    EXPECT_EQ(m.counter("dse.checkpoint.loads"), 1u);
+    EXPECT_EQ(m.counter("dse.checkpoint.restored"), 60u);
+    EXPECT_EQ(spanNames().count("dse/checkpoint-load"), 1u);
+
+    // Recording off: the same run leaves every counter at zero.
+    {
+        ScopedEnable off(false);
+        resetMetrics();
+        std::remove(path.c_str());
+        cfg.resume = false;
+        explorer().explore(d.graph(), cfg);
+    }
+    m = snapshotMetrics();
+    EXPECT_EQ(m.counter("dse.checkpoint.writes"), 0u);
+    EXPECT_EQ(m.counter("dse.checkpoint.bytes"), 0u);
+    EXPECT_EQ(m.counter("dse.checkpoint.rendered"), 0u);
+    std::remove(path.c_str());
 }
 
 } // namespace
