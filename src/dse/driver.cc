@@ -141,7 +141,7 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
         remaining = cfg.evalBudget;
     }
 
-    // Wall-clock budget: checked before each point; once expired,
+    // Wall-clock budget: checked before each batch; once expired,
     // remaining points are skipped (and later resumable). A
     // cooperative cancel (cfg.cancel) halts through the same seam so
     // cancellation is exactly as prompt — and as resumable — as a
@@ -205,10 +205,10 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
     const auto* hook = cfg.preEvaluate ? &cfg.preEvaluate : nullptr;
     // Chaos seams (disarmed: one relaxed load). The crash is a real
     // SIGKILL — exactly what the durable checkpoint format and the
-    // shard supervisor exist to survive. The batched path fires the
-    // seams once per point after its batch, so crash-after-N-evals
-    // counting is unchanged (the crash lands on a batch boundary,
-    // which resume converges from identically).
+    // shard supervisor exist to survive. The seams fire once per
+    // point after its batch, so crash-after-N-evals counts points
+    // (the crash lands on a batch boundary, which resume converges
+    // from identically).
     auto faultSeams = [&](size_t evals) {
         if (!fault::active())
             return;
@@ -219,20 +219,12 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
                 fault::sleepFor(fault::hangSeconds());
         }
     };
-    // The current round's proposal; the evaluation lambdas index it.
+    // The current round's proposal; evalRange indexes it.
     std::vector<size_t> proposed;
-    auto evalOne = [&](Evaluator& ev, size_t idx) {
-        if (expired())
-            return;
-        Status s = ev.evaluatePoint(res.points[idx], idx, hook);
-        if (!s.ok())
-            sink.report(s.diag());
-        faultSeams(1);
-    };
     // Batched handout: contiguous runs of the proposal, inside one
     // worker's range, inside one checkpoint slice. Result order is
     // indexed by global point index, so batching cannot reorder it.
-    const int64_t bsz = std::max<int64_t>(1, cfg.batchSize);
+    const int64_t bsz = ExploreConfig::batchSize;
     auto evalRange = [&](Evaluator& ev, int64_t a, int64_t b) {
         for (int64_t s = a; s < b; s += bsz) {
             if (expired())
@@ -285,7 +277,6 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
         }
     };
 
-    const bool batched = cfg.batchSize > 0;
     for (int round = 0; remaining > 0; ++round) {
         RoundStats rs;
         rs.round = round;
@@ -315,18 +306,11 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
             if (tpool) {
                 tpool->parallelFor(hi - lo, [&](int64_t a, int64_t b) {
                     Evaluator ev(area_, runtime_, g, plan);
-                    if (batched)
-                        evalRange(ev, lo + a, lo + b);
-                    else
-                        for (int64_t i = a; i < b; ++i)
-                            evalOne(ev, proposed[size_t(lo + i)]);
+                    evalRange(ev, lo + a, lo + b);
                     mergeTimes(ev);
                 });
-            } else if (batched) {
-                evalRange(*serial, lo, hi);
             } else {
-                for (int64_t i = lo; i < hi; ++i)
-                    evalOne(*serial, proposed[size_t(i)]);
+                evalRange(*serial, lo, hi);
             }
             checkpoint();
             if (halted())

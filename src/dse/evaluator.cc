@@ -136,23 +136,12 @@ Evaluator::evaluatePoint(DesignPoint& p, size_t idx, const Hook* hook)
         run(p, idx, hook, stage);
         return Status();
     } catch (...) {
-        Diag d = diagFromCurrentException(stage);
-        d.pointIndex = int64_t(idx);
-        d.context = renderBinding(*g_, p.binding);
-        d.worker = obs::threadName();
-        p.evaluated = true;
-        p.failed = true;
-        p.valid = false;
-        p.failCode = d.code;
-        p.failStage = stage;
-        p.failReason = d.message;
-        return Status::error(std::move(d));
+        return Status::error(failPoint(p, idx, stage));
     }
 }
 
-void
-Evaluator::failPoint(DesignPoint& p, size_t idx, const char* stage,
-                     DiagSink& sink)
+Diag
+Evaluator::failPoint(DesignPoint& p, size_t idx, const char* stage)
 {
     Diag d = diagFromCurrentException(stage);
     d.pointIndex = int64_t(idx);
@@ -164,7 +153,7 @@ Evaluator::failPoint(DesignPoint& p, size_t idx, const char* stage,
     p.failCode = d.code;
     p.failStage = stage;
     p.failReason = d.message;
-    sink.report(std::move(d));
+    return d;
 }
 
 bool
@@ -221,7 +210,7 @@ Evaluator::evaluateBatch(std::vector<DesignPoint>& points,
             pool_.assign(liveIdx_.size(), *plan_, p.binding);
             liveIdx_.push_back(idx);
         } catch (...) {
-            failPoint(p, idx, stage, sink);
+            sink.report(failPoint(p, idx, stage));
         }
     }
     const size_t live = liveIdx_.size();
@@ -259,7 +248,7 @@ Evaluator::evaluateBatch(std::vector<DesignPoint>& points,
         try {
             p.cycles = runtime_.estimate(pool_[r]).cycles;
         } catch (...) {
-            failPoint(p, liveIdx_[r], "runtime", sink);
+            sink.report(failPoint(p, liveIdx_[r], "runtime"));
             rowFailed_[r] = 1;
         }
     }

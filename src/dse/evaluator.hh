@@ -156,10 +156,10 @@ class Evaluator
     void run(DesignPoint& p, size_t idx, const Hook* hook,
              const char*& stage);
 
-    /** Mark `p` failed from the in-flight exception, mirroring the
-     *  evaluatePoint() catch block, and report the diagnostic. */
-    void failPoint(DesignPoint& p, size_t idx, const char* stage,
-                   DiagSink& sink);
+    /** Mark `p` failed at `stage` from the in-flight exception and
+     *  return its diagnostic; the one failure path of both entry
+     *  points. */
+    Diag failPoint(DesignPoint& p, size_t idx, const char* stage);
 
     /** Build the batched area plan on first use; false = fall back
      *  to the scalar path (null or uncharacterizable plan). */

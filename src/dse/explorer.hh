@@ -99,15 +99,13 @@ struct ExploreConfig {
     int threads = 1;
 
     /**
-     * Points handed to each Evaluator::evaluateBatch call. Batching
-     * never changes a result bit — it only restructures the work into
-     * structure-of-arrays kernels — so the default is purely a
-     * throughput tuning knob. 0 selects the legacy point-at-a-time
-     * path (the reference the batch-equivalence suite compares
-     * against). Batches nest inside checkpoint slices and per-worker
+     * Points handed to each Evaluator::evaluateBatch call: one area
+     * kernel tile (kAreaTile in estimate/area_estimator.cc). Batching
+     * never changes a result bit, so this is a constant, not a
+     * setting. Batches nest inside checkpoint slices and per-worker
      * ranges, so checkpoint cadence and sharding are unaffected.
      */
-    int batchSize = 64;
+    static constexpr int batchSize = 64;
 
     /** Wall-clock budget in seconds; 0 = unlimited. */
     double timeBudgetSeconds = 0;

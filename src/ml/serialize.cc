@@ -1,5 +1,6 @@
 #include "ml/serialize.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
@@ -30,22 +31,26 @@ check(bool cond, const std::string& msg)
 }
 
 /**
- * Consume comment lines before a record header, validating any
- * magic line against the versions this reader understands. Files
- * from before the magic existed start straight at the record header
- * and are accepted as-is.
+ * Consume the comment lines before record `tag`'s header. One of them
+ * must be the magic line, in a version this reader understands; a
+ * record without it is refused.
  */
 void
-skipHeaderLines(std::istream& is)
+skipHeaderLines(std::istream& is, const std::string& tag)
 {
+    bool magic = false;
     while (is >> std::ws && is.peek() == '#') {
         std::string line;
         std::getline(is, line);
         if (line.compare(0, std::string(kMagicPrefix).size(),
-                         kMagicPrefix) == 0)
+                         kMagicPrefix) == 0) {
             check(line == kMagic,
                   "unsupported model file version: '" + line + "'");
+            magic = true;
+        }
     }
+    check(magic, "model record '" + tag + "' has no '" +
+                     std::string(kMagic) + "' header line");
 }
 
 } // namespace
@@ -66,7 +71,7 @@ writeDoubles(std::ostream& os, const std::string& tag,
 std::vector<double>
 readDoubles(std::istream& is, const std::string& tag)
 {
-    skipHeaderLines(is);
+    skipHeaderLines(is, tag);
     std::string got_tag, version;
     size_t count = 0;
     is >> got_tag >> count >> version;
@@ -80,10 +85,17 @@ readDoubles(std::istream& is, const std::string& tag)
     check(count <= kMaxModelDoubles,
           "model record '" + tag + "' claims " + std::to_string(count) +
               " values; limit is " + std::to_string(kMaxModelDoubles));
+    // Values parse as whole tokens: stream extraction stops short of
+    // "nan" or "inf", which would then read as a truncated payload.
     std::vector<double> v(count);
+    std::string tok;
     for (auto& x : v) {
-        is >> x;
+        is >> tok;
         check(bool(is), "truncated payload for '" + tag + "'");
+        const char* end = tok.data() + tok.size();
+        auto [last, ec] = std::from_chars(tok.data(), end, x);
+        check(ec == std::errc() && last == end,
+              "bad value '" + tok + "' in model record '" + tag + "'");
         check(std::isfinite(x),
               "non-finite value in model record '" + tag + "'");
     }

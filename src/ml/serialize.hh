@@ -14,10 +14,9 @@
  * multi-gigabyte allocation), non-integral or out-of-range MLP layer
  * sizes, and truncated payloads are all rejected with a FatalError
  * carrying DiagCode::ParseError; a short read can never yield
- * uninitialized doubles or UB. Files written before the magic line
- * existed (starting directly with the record header) still load.
- * The tryLoad*() wrappers return the failure as a structured Status
- * for callers that must not throw.
+ * uninitialized doubles or UB. A record without the magic line is
+ * refused the same way. The tryLoad*() wrappers return the failure
+ * as a structured Status for callers that must not throw.
  */
 
 #ifndef DHDL_ML_SERIALIZE_HH

@@ -4,7 +4,7 @@
  * connection; request() sends a JSON object and reads the response
  * line, send()/recvLine() expose the raw stream for consumers of
  * streamed round events. Used by `dhdlc submit/status/result/cancel`,
- * the serving tests, and bench/bench_serving.
+ * the serving tests, and dsebench's serve_mix workload.
  */
 
 #ifndef DHDL_SERVE_CLIENT_HH

@@ -14,6 +14,10 @@
  *   {"op":"trace","job":N}                          per-job trace JSON
  *   {"op":"shutdown"}                               graceful drain
  *
+ * A submit's "config" object takes the keys points, seed, threads,
+ * eval_budget, time_budget, strategy, initial_points and max_rounds;
+ * any other key is ignored.
+ *
  * Responses are `{"ok":true,...}` or `{"ok":false,"error":{...}}`
  * where the error object is a rendered structured Diag — admission
  * rejections, parse failures and version skew are all Diags, never

@@ -1,17 +1,20 @@
 /**
  * @file
  * Batch-equivalence property suite: the batched evaluation pipeline
- * (Evaluator::evaluateBatch with any batch size, any thread count)
- * must reproduce the legacy point-at-a-time path bit for bit — every
+ * (Evaluator::evaluateBatch in any chunking, explore() at any thread
+ * count) must reproduce the point-at-a-time path bit for bit — every
  * area field, every cycle count, every failure diagnostic, and the
- * Pareto front. The reference for each design is one scalar run
- * (batchSize = 0, threads = 1); everything else is compared against
- * it with bitwise double comparisons, not tolerances.
+ * Pareto front. The reference for each design is explore()'s sample
+ * set pushed through one Evaluator::evaluatePoint per point;
+ * everything else is compared against it with bitwise double
+ * comparisons, not tolerances.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "apps/apps.hh"
@@ -20,11 +23,17 @@
 namespace dhdl::dse {
 namespace {
 
+const est::RuntimeEstimator&
+runtimeEst()
+{
+    static est::RuntimeEstimator rt;
+    return rt;
+}
+
 Explorer&
 explorer()
 {
-    static est::RuntimeEstimator rt;
-    static Explorer ex(est::calibratedEstimator(), rt);
+    static Explorer ex(est::calibratedEstimator(), runtimeEst());
     return ex;
 }
 
@@ -106,34 +115,108 @@ designs()
 }
 
 ExploreConfig
-config(int batch, int threads)
+config(int threads, const Evaluator::Hook& hook)
 {
     ExploreConfig cfg;
     cfg.maxPoints = kPoints;
-    cfg.batchSize = batch;
     cfg.threads = threads;
+    cfg.preEvaluate = hook;
     return cfg;
+}
+
+/** explore()'s sample set, un-evaluated; sampling diags go to sink. */
+std::vector<DesignPoint>
+samplePoints(const Graph& g, DiagSink& sink)
+{
+    std::vector<DesignPoint> points;
+    for (ParamBinding& b :
+         sampleGlobal(ParamSpace(g), config(1, {}), &sink)) {
+        points.emplace_back();
+        points.back().binding = std::move(b);
+    }
+    return points;
+}
+
+/** Evaluated points as explore() reports them: canonical diag order,
+ *  Pareto front and counts. */
+ExploreResult
+resultOf(std::vector<DesignPoint> points, DiagSink& sink)
+{
+    ExploreResult r;
+    r.points = std::move(points);
+    r.pareto = paretoOf(r.points);
+    r.diags = sink.drain();
+    sortDiags(r.diags);
+    r.stats.total = r.points.size();
+    for (const DesignPoint& p : r.points) {
+        r.stats.evaluated += p.evaluated ? 1 : 0;
+        r.stats.failed += p.failed ? 1 : 0;
+        r.stats.valid += p.valid ? 1 : 0;
+    }
+    return r;
+}
+
+/** The reference: one Evaluator::evaluatePoint per sampled point. */
+ExploreResult
+scalarReference(const Graph& g, const Evaluator::Hook& hook)
+{
+    DiagSink sink;
+    std::vector<DesignPoint> points = samplePoints(g, sink);
+    Evaluator ev(est::calibratedEstimator(), runtimeEst(), g);
+    for (size_t i = 0; i < points.size(); ++i) {
+        Status s = ev.evaluatePoint(points[i], i, &hook);
+        if (!s.ok())
+            sink.report(s.diag());
+    }
+    return resultOf(std::move(points), sink);
+}
+
+/** The sample set through Evaluator::evaluateBatch, `chunk` points
+ *  per call. */
+ExploreResult
+batched(const Graph& g, size_t chunk, const Evaluator::Hook& hook)
+{
+    DiagSink sink;
+    std::vector<DesignPoint> points = samplePoints(g, sink);
+    std::vector<size_t> idxs(points.size());
+    std::iota(idxs.begin(), idxs.end(), size_t(0));
+    Evaluator ev(est::calibratedEstimator(), runtimeEst(), g);
+    for (size_t lo = 0; lo < idxs.size(); lo += chunk)
+        ev.evaluateBatch(points, &idxs[lo],
+                         std::min(chunk, idxs.size() - lo), &hook,
+                         sink);
+    return resultOf(std::move(points), sink);
+}
+
+/** Every chunking of evaluateBatch and explore() at threads {1, 4}
+ *  equal the scalar reference. */
+void
+expectAllPathsMatchScalar(const std::string& name, const Graph& g,
+                          const Evaluator::Hook& hook)
+{
+    const ExploreResult ref = scalarReference(g, hook);
+    ASSERT_GT(ref.stats.evaluated, 0u) << name;
+    if (hook) {
+        ASSERT_GT(ref.stats.failed, 0u) << name;
+        ASSERT_GT(ref.stats.evaluated, ref.stats.failed) << name;
+    }
+    // Chunks: degenerate (1), ragged (7), the explore() batch (64),
+    // and the whole sample set in one call.
+    for (size_t chunk : {size_t(1), size_t(7), size_t(64),
+                         ref.points.size()})
+        expectIdentical(ref, batched(g, chunk, hook),
+                        name + " chunk=" + std::to_string(chunk));
+    for (int threads : {1, 4})
+        expectIdentical(ref,
+                        explorer().explore(g, config(threads, hook)),
+                        name + " explore threads=" +
+                            std::to_string(threads));
 }
 
 TEST(BatchEquiv, EveryBatchSizeMatchesScalarBitForBit)
 {
-    // Batch sizes: degenerate (1), ragged (7), the default (64), and
-    // larger than the whole sample set ("space size").
-    const int sizes[] = {1, 7, 64, 10 * kPoints};
-    for (auto& [name, d] : designs()) {
-        auto ref = explorer().explore(d.graph(), config(0, 1));
-        ASSERT_GT(ref.stats.evaluated, 0u) << name;
-        for (int batch : sizes) {
-            for (int threads : {1, 4}) {
-                auto got =
-                    explorer().explore(d.graph(), config(batch, threads));
-                expectIdentical(ref, got,
-                                name + " batch=" +
-                                    std::to_string(batch) + " threads=" +
-                                    std::to_string(threads));
-            }
-        }
-    }
+    for (auto& [name, d] : designs())
+        expectAllPathsMatchScalar(name, d.graph(), {});
 }
 
 TEST(BatchEquiv, FailingPointsMidBatchMatchScalar)
@@ -148,21 +231,8 @@ TEST(BatchEquiv, FailingPointsMidBatchMatchScalar)
             throw std::runtime_error("injected fault at point " +
                                      std::to_string(idx));
     };
-    for (auto& [name, d] : designs()) {
-        auto refCfg = config(0, 1);
-        refCfg.preEvaluate = hook;
-        auto ref = explorer().explore(d.graph(), refCfg);
-        ASSERT_GT(ref.stats.failed, 0u) << name;
-        ASSERT_GT(ref.stats.evaluated, ref.stats.failed) << name;
-        for (int threads : {1, 4}) {
-            auto cfg = config(7, threads);
-            cfg.preEvaluate = hook;
-            auto got = explorer().explore(d.graph(), cfg);
-            expectIdentical(ref, got,
-                            name + " faulted threads=" +
-                                std::to_string(threads));
-        }
-    }
+    for (auto& [name, d] : designs())
+        expectAllPathsMatchScalar(name + " faulted", d.graph(), hook);
 }
 
 } // namespace

@@ -8,6 +8,29 @@
 namespace dhdl::ml {
 namespace {
 
+/** The magic line every record must start with. */
+const std::string kHeader = "# dhdl-model v1\n";
+
+bool
+contains(const std::string& s, const std::string& part)
+{
+    return s.find(part) != std::string::npos;
+}
+
+/** `load` throws a ParseError whose message contains `part`. */
+template <typename Load>
+void
+expectParseError(Load load, const std::string& part)
+{
+    try {
+        load();
+        ADD_FAILURE() << "no error; expected \"" << part << "\"";
+    } catch (const FatalError& e) {
+        EXPECT_EQ(e.code(), DiagCode::ParseError) << e.what();
+        EXPECT_TRUE(contains(e.what(), part)) << e.what();
+    }
+}
+
 TEST(SerializeTest, DoublesRoundTrip)
 {
     std::stringstream ss;
@@ -29,13 +52,15 @@ TEST(SerializeTest, TagMismatchIsFatal)
 {
     std::stringstream ss;
     writeDoubles(ss, "alpha", {1.0});
-    EXPECT_THROW(readDoubles(ss, "beta"), FatalError);
+    expectParseError([&] { readDoubles(ss, "beta"); },
+                     "expected 'beta', got 'alpha'");
 }
 
 TEST(SerializeTest, TruncationIsFatal)
 {
-    std::stringstream ss("vec 3 v1\n1.0 2.0");
-    EXPECT_THROW(readDoubles(ss, "vec"), FatalError);
+    std::stringstream ss(kHeader + "vec 3 v1\n1.0 2.0");
+    expectParseError([&] { readDoubles(ss, "vec"); },
+                     "truncated payload for 'vec'");
 }
 
 TEST(SerializeTest, LinearModelRoundTripPredictsIdentically)
@@ -69,7 +94,7 @@ TEST(SerializeTest, MlpWeightCountMismatchIsFatal)
     std::stringstream ss;
     writeDoubles(ss, "mlp_layers", {2, 2});
     writeDoubles(ss, "mlp_weights", {1.0}); // needs 2*2+2 = 6
-    EXPECT_THROW(loadMlp(ss), FatalError);
+    expectParseError([&] { loadMlp(ss); }, "MLP weight count mismatch");
 }
 
 TEST(SerializeTest, ScalerRoundTrip)
@@ -115,32 +140,43 @@ TEST(SerializeHardening, MagicHeaderIsWrittenAndAccepted)
               (std::vector<double>{1.0, 2.0}));
 }
 
-TEST(SerializeHardening, HeaderlessLegacyFilesStillLoad)
+TEST(SerializeHardening, HeaderlessRecordIsRefused)
 {
-    // Files written before the magic line start at the record header.
+    // A record that starts straight at its header line is refused,
+    // naming the missing magic line.
     std::stringstream ss("vec 2 v1\n1.5 -2.5\n");
-    EXPECT_EQ(readDoubles(ss, "vec"),
-              (std::vector<double>{1.5, -2.5}));
+    expectParseError([&] { readDoubles(ss, "vec"); },
+                     "'vec' has no '# dhdl-model v1' header");
+
+    // Every record needs its own: the second of two is refused too.
+    std::stringstream two;
+    writeDoubles(two, "a", {1.0});
+    two << "b 1 v1\n2.0\n";
+    EXPECT_EQ(readDoubles(two, "a"), (std::vector<double>{1.0}));
+    expectParseError([&] { readDoubles(two, "b"); },
+                     "'b' has no '# dhdl-model v1' header");
 }
 
 TEST(SerializeHardening, UnknownMagicVersionIsRejected)
 {
     std::stringstream ss("# dhdl-model v99\nvec 1 v1\n1.0\n");
-    EXPECT_THROW(readDoubles(ss, "vec"), FatalError);
+    expectParseError([&] { readDoubles(ss, "vec"); },
+                     "unsupported model file version: '# dhdl-model v99'");
 }
 
 TEST(SerializeHardening, AbsurdCountIsRejectedBeforeAllocation)
 {
     // A corrupted count line must fail a parse, not allocate
     // petabytes and then discover the stream is short.
-    std::stringstream ss("vec 99999999999999999 v1\n1.0\n");
-    EXPECT_THROW(readDoubles(ss, "vec"), FatalError);
+    std::stringstream ss(kHeader + "vec 99999999999999999 v1\n1.0\n");
+    expectParseError([&] { readDoubles(ss, "vec"); }, "limit is");
 }
 
 TEST(SerializeHardening, NonFiniteValuesAreRejected)
 {
-    std::stringstream ss("vec 2 v1\n1.0 nan\n");
-    EXPECT_THROW(readDoubles(ss, "vec"), FatalError);
+    std::stringstream ss(kHeader + "vec 2 v1\n1.0 nan\n");
+    expectParseError([&] { readDoubles(ss, "vec"); },
+                     "non-finite value in model record 'vec'");
 }
 
 TEST(SerializeHardening, CorruptMlpLayersAreRejected)
@@ -150,32 +186,33 @@ TEST(SerializeHardening, CorruptMlpLayersAreRejected)
         std::stringstream ss;
         writeDoubles(ss, "mlp_layers", {2.5, 3});
         writeDoubles(ss, "mlp_weights", {});
-        EXPECT_THROW(loadMlp(ss), FatalError);
+        expectParseError([&] { loadMlp(ss); }, "MLP layer size out of range");
     }
     {
         // A giant layer must not turn into a giant allocation.
         std::stringstream ss;
         writeDoubles(ss, "mlp_layers", {2, 1e15});
         writeDoubles(ss, "mlp_weights", {});
-        EXPECT_THROW(loadMlp(ss), FatalError);
+        expectParseError([&] { loadMlp(ss); }, "MLP layer size out of range");
     }
     {
         // A single layer is not a network.
         std::stringstream ss;
         writeDoubles(ss, "mlp_layers", {3});
         writeDoubles(ss, "mlp_weights", {});
-        EXPECT_THROW(loadMlp(ss), FatalError);
+        expectParseError([&] { loadMlp(ss); }, "MLP layer count out of range");
     }
 }
 
 TEST(SerializeHardening, ParseFailuresCarryParseErrorCode)
 {
-    std::stringstream ss("vec 3 v1\n1.0 2.0");
+    std::stringstream ss(kHeader + "vec 3 v1\n1.0 2.0");
     try {
         readDoubles(ss, "vec");
         FAIL() << "expected FatalError";
     } catch (const FatalError& e) {
         EXPECT_EQ(e.code(), DiagCode::ParseError);
+        EXPECT_TRUE(contains(e.what(), "truncated payload")) << e.what();
     }
 }
 
@@ -183,12 +220,16 @@ TEST(SerializeHardening, TryLoadReturnsStructuredStatus)
 {
     // Damaged input: an error Status with a ParseError Diag, no
     // exception crossing the boundary.
-    std::stringstream bad("mlp_layers 1 v1\nnot-a-number\n");
+    std::stringstream bad(kHeader + "mlp_layers 1 v1\nnot-a-number\n");
     Mlp net({2, 2});
     Status st = tryLoadMlp(bad, net);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.diag().code, DiagCode::ParseError);
     EXPECT_EQ(st.diag().stage, "model-load");
+    EXPECT_TRUE(contains(st.diag().message,
+                         "bad value 'not-a-number' in model record "
+                         "'mlp_layers'"))
+        << st.diag().message;
 
     // Intact input: loads and reports ok.
     std::stringstream good;
@@ -198,14 +239,21 @@ TEST(SerializeHardening, TryLoadReturnsStructuredStatus)
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(net.params(), ref.params());
 
-    std::stringstream badLin("linear 0 v1\n\n");
+    std::stringstream badLin(kHeader + "linear 0 v1\n\n");
     LinearModel lm;
-    EXPECT_FALSE(tryLoadLinear(badLin, lm).ok());
+    Status lin = tryLoadLinear(badLin, lm);
+    ASSERT_FALSE(lin.ok());
+    EXPECT_TRUE(contains(lin.diag().message, "linear model payload empty"))
+        << lin.diag().message;
 
-    std::stringstream badScaler("scaler_lo 1 v1\n1.0\nscaler_hi 2 "
-                                "v1\n1.0 2.0\n");
+    std::stringstream badScaler(kHeader + "scaler_lo 1 v1\n1.0\n" +
+                                kHeader + "scaler_hi 2 v1\n1.0 2.0\n");
     MinMaxScaler sc;
-    EXPECT_FALSE(tryLoadScaler(badScaler, sc).ok());
+    Status scaler = tryLoadScaler(badScaler, sc);
+    ASSERT_FALSE(scaler.ok());
+    EXPECT_TRUE(contains(scaler.diag().message,
+                         "scaler bound size mismatch"))
+        << scaler.diag().message;
 }
 
 SurrogateBundle

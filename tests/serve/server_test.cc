@@ -15,11 +15,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <thread>
 
 #include "apps/apps.hh"
+#include "core/faultinject.hh"
 #include "core/passes.hh"
 #include "estimate/area_estimator.hh"
 #include "serve/client.hh"
@@ -99,6 +101,7 @@ struct ServerFixture : ::testing::Test {
             server->requestStop();
             server->wait();
         }
+        fault::reset(); // Disarm any seam a test armed, even on failure.
     }
 };
 
@@ -333,7 +336,10 @@ TEST_F(ServerFixture, CancelStopsARunningJob)
     startServer();
     Client c = connect();
 
-    // A big job (many points) that cancel will interrupt.
+    // A big job that cancel will interrupt. The hang seam holds it
+    // for 2 s after its first batch, so it cannot finish before the
+    // cancel lands, however fast the host evaluates.
+    fault::configure("hang-after-evals=1,hang-seconds=2");
     Json resp;
     ASSERT_TRUE(
         c.request(submitRequest("gda", "t", 0.3, 30000, 1), resp)
@@ -348,6 +354,19 @@ TEST_F(ServerFixture, CancelStopsARunningJob)
     EXPECT_FALSE(resp.find("ok")->asBool());
     EXPECT_EQ(resp.find("error")->find("code")->asString(),
               "admission-rejected");
+
+    // Cancel only once the job runs: one cancelled while still queued
+    // never starts, so it would have no stats to check.
+    Json status = Json::object();
+    status.set("op", "status");
+    status.set("job", job);
+    for (int i = 0; i < 1000; ++i) {
+        ASSERT_TRUE(c.request(status, resp).ok());
+        if (resp.find("state")->asString() != "queued")
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(resp.find("state")->asString(), "running");
 
     Json cancel = Json::object();
     cancel.set("op", "cancel");
