@@ -42,6 +42,7 @@
 
 #include "bench_common.hh"
 #include "dse/pareto.hh"
+#include "serve/json.hh"
 
 using namespace dhdl;
 
@@ -251,28 +252,32 @@ measureApp(const std::string& name, double scale, int points,
 }
 
 void
-writeJson(const std::vector<Row>& rows, double scale, int points)
+writeReport(const std::vector<Row>& rows, double scale, int points)
 {
-    std::ofstream os("BENCH_dse_quality.json");
-    os << std::setprecision(10);
-    os << "{\n  \"bench\": \"dse_quality\",\n"
-       << "  \"scale\": " << scale << ",\n"
-       << "  \"points_per_app\": " << points << ",\n  \"apps\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        os << "    {\"app\": \"" << r.app << "\", \"sampled\": "
-           << r.sampled << ", \"ref_front\": " << r.refFront
-           << ", \"tol\": " << r.tol << ",\n     \"random_evals\": "
-           << r.randomEvals << ", \"surrogate_evals\": "
-           << r.surrogateEvals << ", \"surrogate_rounds\": "
-           << r.surrogateRounds << ", \"reached\": "
-           << (r.reached ? "true" : "false") << ", \"speedup\": "
-           << r.speedup << ",\n     \"seed_speedups\": [";
-        for (size_t s = 0; s < r.seedSpeedups.size(); ++s)
-            os << (s ? ", " : "") << r.seedSpeedups[s];
-        os << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    serve::Json apps = serve::Json::array();
+    for (const Row& r : rows) {
+        serve::Json seeds = serve::Json::array();
+        for (double sp : r.seedSpeedups)
+            seeds.push(sp);
+        serve::Json a = serve::Json::object();
+        a.set("app", r.app);
+        a.set("sampled", r.sampled);
+        a.set("ref_front", r.refFront);
+        a.set("tol", r.tol);
+        a.set("random_evals", r.randomEvals);
+        a.set("surrogate_evals", r.surrogateEvals);
+        a.set("surrogate_rounds", r.surrogateRounds);
+        a.set("reached", r.reached);
+        a.set("speedup", r.speedup);
+        a.set("seed_speedups", std::move(seeds));
+        apps.push(std::move(a));
     }
-    os << "  ]\n}\n";
+    serve::Json j = serve::Json::object();
+    j.set("bench", "dse_quality");
+    j.set("scale", scale);
+    j.set("points_per_app", points);
+    j.set("apps", std::move(apps));
+    std::ofstream("BENCH_dse_quality.json") << j.render() << "\n";
 }
 
 std::vector<std::string>
@@ -342,7 +347,7 @@ main()
                   << (r.reached ? "" : "  (tolerance not reached)")
                   << "\n";
     }
-    writeJson(rows, scale, points);
+    writeReport(rows, scale, points);
     std::cout << "\nwrote BENCH_dse_quality.json\n";
     return 0;
 }

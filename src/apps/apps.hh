@@ -93,9 +93,13 @@ int64_t scaledSize(int64_t v, double scale, int64_t quantum);
  */
 Design buildApp(const std::string& name, double scale = 1.0);
 
+/** Is `nameOrPath` a `.dhdl` IR file (anything ending in ".dhdl")
+ *  rather than an app name? */
+bool isIRPath(const std::string& nameOrPath);
+
 /**
- * Uniform graph front door for the whole toolchain: a name ending in
- * ".dhdl" is parsed from disk (core/parser), anything else is built
+ * Uniform graph front door for the whole toolchain: an isIRPath()
+ * name is parsed from disk (core/parser), anything else is built
  * by buildApp(). Parse failures throw FatalError carrying the parse
  * diagnostic, so callers treat files and names identically.
  */

@@ -84,13 +84,19 @@ buildApp(const std::string& name, double scale)
     fatal("unknown benchmark '" + name + "'; try `dhdlc list`");
 }
 
+bool
+isIRPath(const std::string& nameOrPath)
+{
+    const std::string suffix = ".dhdl";
+    return nameOrPath.size() > suffix.size() &&
+           nameOrPath.compare(nameOrPath.size() - suffix.size(),
+                              suffix.size(), suffix) == 0;
+}
+
 Graph
 loadGraph(const std::string& nameOrPath, double scale)
 {
-    const std::string suffix = ".dhdl";
-    if (nameOrPath.size() > suffix.size() &&
-        nameOrPath.compare(nameOrPath.size() - suffix.size(),
-                           suffix.size(), suffix) == 0) {
+    if (isIRPath(nameOrPath)) {
         ParseResult res = parseIRFile(nameOrPath);
         if (!res.ok())
             fatal(res.status.diag().str(), DiagCode::ParseError);

@@ -101,9 +101,6 @@ struct MetricsSnapshot {
     /** Value of a counter by name; 0 when absent. */
     uint64_t counter(const std::string& name) const;
 
-    /** Machine-readable JSON ({"counters":{...},...}). */
-    void writeJson(std::ostream& os) const;
-
     /** Human-readable rendering (the `--profile` output). */
     void renderText(std::ostream& os) const;
 

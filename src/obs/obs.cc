@@ -10,7 +10,7 @@
  *    shards without stopping writers (counters are monotone, so a
  *    racing snapshot is merely slightly stale, never torn);
  *  - trace rings: one vector per thread guarded by a per-thread
- *    mutex (uncontended except while an export drains it);
+ *    mutex (uncontended except while snapshotTrace() drains it);
  *  - the global mutex guards registration, thread naming and the
  *    shard list — never the record hot path.
  */
@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -167,31 +166,6 @@ copyTruncated(char* dst, size_t cap, const char* src)
     size_t n = std::min(cap - 1, std::strlen(src));
     std::memcpy(dst, src, n);
     dst[n] = '\0';
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (uint8_t(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -420,35 +394,6 @@ resetMetrics()
 }
 
 void
-MetricsSnapshot::writeJson(std::ostream& os) const
-{
-    os << "{\n  \"counters\": {";
-    for (size_t i = 0; i < counters.size(); ++i)
-        os << (i ? "," : "") << "\n    \""
-           << jsonEscape(counters[i].first)
-           << "\": " << counters[i].second;
-    os << (counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-    for (size_t i = 0; i < gauges.size(); ++i)
-        os << (i ? "," : "") << "\n    \""
-           << jsonEscape(gauges[i].first)
-           << "\": " << gauges[i].second;
-    os << (gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
-    for (size_t i = 0; i < histograms.size(); ++i) {
-        const HistogramSnapshot& h = histograms[i];
-        os << (i ? "," : "") << "\n    \"" << jsonEscape(h.name)
-           << "\": {\"bounds\": [";
-        for (size_t b = 0; b < h.bounds.size(); ++b)
-            os << (b ? "," : "") << h.bounds[b];
-        os << "], \"counts\": [";
-        for (size_t b = 0; b < h.counts.size(); ++b)
-            os << (b ? "," : "") << h.counts[b];
-        os << "], \"count\": " << h.count << ", \"sum\": " << h.sum
-           << "}";
-    }
-    os << (histograms.empty() ? "" : "\n  ") << "}\n}\n";
-}
-
-void
 MetricsSnapshot::renderText(std::ostream& os) const
 {
     size_t width = 0;
@@ -582,51 +527,36 @@ setRingCapacity(size_t events)
         std::memory_order_relaxed);
 }
 
-void
-writeChromeTrace(std::ostream& os)
+TraceSnapshot
+snapshotTrace()
 {
     GlobalState& g = G();
     std::lock_guard<std::mutex> lock(g.mu);
 
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    uint64_t dropped = 0;
-    std::vector<TraceEvent> events;
+    TraceSnapshot snap;
     for (ThreadState& t : g.threads) {
+        ThreadTrace tt;
         {
             std::lock_guard<std::mutex> tl(t.traceMu);
             uint64_t kept =
                 std::min<uint64_t>(t.next, t.ring.size());
-            dropped += t.next - kept;
-            events.clear();
-            events.reserve(size_t(kept));
+            snap.dropped += t.next - kept;
+            tt.events.reserve(size_t(kept));
             // Oldest retained event first.
             for (uint64_t i = t.next - kept; i < t.next; ++i)
-                events.push_back(t.ring[i % t.ring.size()]);
+                tt.events.push_back(t.ring[i % t.ring.size()]);
         }
-        if (events.empty())
+        if (tt.events.empty())
             continue;
-        std::stable_sort(events.begin(), events.end(),
+        std::stable_sort(tt.events.begin(), tt.events.end(),
                          [](const TraceEvent& a, const TraceEvent& b) {
                              return a.ts < b.ts;
                          });
-        os << (first ? "" : ",") << "\n {\"ph\":\"M\",\"pid\":1,"
-           << "\"tid\":" << t.tid
-           << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-           << jsonEscape(t.name) << "\"}}";
-        first = false;
-        for (const TraceEvent& e : events) {
-            os << ",\n {\"ph\":\"X\",\"pid\":1,\"tid\":" << t.tid
-               << ",\"cat\":\"" << jsonEscape(e.cat)
-               << "\",\"name\":\"" << jsonEscape(e.name)
-               << "\",\"ts\":" << e.ts << ",\"dur\":" << e.dur;
-            if (e.arg >= 0)
-                os << ",\"args\":{\"i\":" << e.arg << "}";
-            os << "}";
-        }
+        tt.tid = t.tid;
+        tt.name = t.name;
+        snap.threads.push_back(std::move(tt));
     }
-    os << "\n],\"otherData\":{\"droppedEvents\":" << dropped
-       << "}}\n";
+    return snap;
 }
 
 void

@@ -1,15 +1,16 @@
 /**
  * @file
  * Structured tracing: scoped spans recorded into per-thread ring
- * buffers and exported as Chrome-trace JSON (loadable in Perfetto /
+ * buffers and drained by snapshotTrace(), which serve/protocol
+ * renders as Chrome-trace JSON (loadable in Perfetto /
  * chrome://tracing). A span is one complete "X" event — name,
  * category, start timestamp, duration, thread id, optional integer
  * argument (the explorer stores the design-point index).
  *
  * Ring buffers are fixed-capacity per thread: when a sweep records
- * more events than fit, the oldest are overwritten and the export
+ * more events than fit, the oldest are overwritten and the snapshot
  * reports how many were dropped. Each buffer is written only by its
- * owning thread under a per-thread mutex that the exporter takes
+ * owning thread under a per-thread mutex that snapshotTrace() takes
  * when draining — uncontended in steady state, so recording stays
  * O(copy one small struct).
  *
@@ -25,8 +26,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "obs/obs.hh"
 
@@ -107,13 +108,26 @@ TraceStats traceStats();
  */
 void setRingCapacity(size_t events);
 
+/** One thread's retained events, in timestamp order. */
+struct ThreadTrace {
+    uint32_t tid = 0;
+    std::string name; //!< setThreadName() label, e.g. "worker-3".
+    std::vector<TraceEvent> events;
+};
+
+/** Everything the rings hold, drained under their locks. */
+struct TraceSnapshot {
+    /** Threads with at least one retained event, in tid order. */
+    std::vector<ThreadTrace> threads;
+    uint64_t dropped = 0; //!< Events lost to ring wraparound.
+};
+
 /**
- * Export everything recorded so far as one Chrome-trace JSON object
- * ({"displayTimeUnit":"ms","traceEvents":[...]}), with thread-name
- * metadata events so Perfetto labels rows "worker-N". Events are
- * emitted per thread in timestamp order.
+ * Copy out every retained event. serve/protocol renders the snapshot
+ * as Chrome-trace JSON (serve::writeChromeTrace); obs itself renders
+ * no JSON.
  */
-void writeChromeTrace(std::ostream& os);
+TraceSnapshot snapshotTrace();
 
 /** Drop all recorded events (buffers stay allocated). Tests only. */
 void resetTrace();

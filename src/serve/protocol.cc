@@ -1,5 +1,7 @@
 #include "serve/protocol.hh"
 
+#include <ostream>
+
 #include "dse/evaluator.hh"
 
 #ifndef DHDL_VERSION_STRING
@@ -105,24 +107,6 @@ resultToJson(const Graph& g, const dse::ExploreResult& res)
     return j;
 }
 
-namespace {
-
-void
-pushSpan(Json& events, const char* name, uint64_t ts, uint64_t dur)
-{
-    Json e = Json::object();
-    e.set("name", name);
-    e.set("cat", "serve");
-    e.set("ph", "X");
-    e.set("pid", 1);
-    e.set("tid", 1);
-    e.set("ts", ts);
-    e.set("dur", dur);
-    events.push(std::move(e));
-}
-
-} // namespace
-
 Json
 jobTraceToJson(const dse::ExploreResult& res)
 {
@@ -130,33 +114,107 @@ jobTraceToJson(const dse::ExploreResult& res)
         return sec > 0 ? uint64_t(sec * 1e6) : uint64_t(0);
     };
     Json events = Json::array();
+    auto span = [&](const std::string& name, uint64_t ts,
+                    uint64_t dur) {
+        events.push(traceEventToJson("serve", name, 1, ts, dur));
+    };
     uint64_t now = 0;
     // planSeconds is 0 exactly when the driver received a cached
     // plan, so a cache-hit job's trace has no plan-compile span.
     if (res.stats.planSeconds > 0) {
-        pushSpan(events, "plan-compile", now,
-                 us(res.stats.planSeconds));
+        span("plan-compile", now, us(res.stats.planSeconds));
         now += us(res.stats.planSeconds);
     }
     for (const dse::RoundStats& rs : res.stats.rounds) {
         const std::string label = "round-" + std::to_string(rs.round);
-        pushSpan(events, (label + ".propose").c_str(), now,
-                 us(rs.proposeSeconds));
+        span(label + ".propose", now, us(rs.proposeSeconds));
         if (rs.trainSeconds > 0)
-            pushSpan(events, (label + ".train").c_str(), now,
-                     us(rs.trainSeconds));
+            span(label + ".train", now, us(rs.trainSeconds));
         if (rs.rankSeconds > 0)
-            pushSpan(events, (label + ".rank").c_str(), now,
-                     us(rs.rankSeconds));
+            span(label + ".rank", now, us(rs.rankSeconds));
         now += us(rs.proposeSeconds);
-        pushSpan(events, (label + ".eval").c_str(), now,
-                 us(rs.evalSeconds));
+        span(label + ".eval", now, us(rs.evalSeconds));
         now += us(rs.evalSeconds);
     }
     Json j = Json::object();
     j.set("traceEvents", std::move(events));
     j.set("displayTimeUnit", "ms");
     return j;
+}
+
+Json
+metricsToJson(const obs::MetricsSnapshot& m)
+{
+    Json counters = Json::object();
+    for (const auto& [name, v] : m.counters)
+        counters.set(name, v);
+    Json gauges = Json::object();
+    for (const auto& [name, v] : m.gauges)
+        gauges.set(name, v);
+    Json histograms = Json::object();
+    for (const obs::HistogramSnapshot& h : m.histograms) {
+        Json bounds = Json::array();
+        for (uint64_t b : h.bounds)
+            bounds.push(b);
+        Json counts = Json::array();
+        for (uint64_t c : h.counts)
+            counts.push(c);
+        Json e = Json::object();
+        e.set("bounds", std::move(bounds));
+        e.set("counts", std::move(counts));
+        e.set("count", h.count);
+        e.set("sum", h.sum);
+        histograms.set(h.name, std::move(e));
+    }
+    Json j = Json::object();
+    j.set("counters", std::move(counters));
+    j.set("gauges", std::move(gauges));
+    j.set("histograms", std::move(histograms));
+    return j;
+}
+
+Json
+traceEventToJson(const std::string& cat, const std::string& name,
+                 uint32_t tid, uint64_t ts, uint64_t dur, int64_t arg)
+{
+    Json e = Json::object();
+    e.set("ph", "X");
+    e.set("pid", 1);
+    e.set("tid", tid);
+    e.set("cat", cat);
+    e.set("name", name);
+    e.set("ts", ts);
+    e.set("dur", dur);
+    if (arg >= 0)
+        e.set("args", Json::object().set("i", arg));
+    return e;
+}
+
+void
+writeChromeTrace(std::ostream& os, const obs::TraceSnapshot& trace)
+{
+    std::string line;
+    auto emit = [&](const Json& e) {
+        line.assign(line.empty() ? "\n " : ",\n ");
+        e.renderTo(line);
+        os << line;
+    };
+    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    for (const obs::ThreadTrace& t : trace.threads) {
+        Json meta = Json::object();
+        meta.set("ph", "M");
+        meta.set("pid", 1);
+        meta.set("tid", t.tid);
+        meta.set("name", "thread_name");
+        meta.set("args", Json::object().set("name", t.name));
+        emit(meta);
+        for (const obs::TraceEvent& e : t.events)
+            emit(traceEventToJson(e.cat, e.name, t.tid, e.ts, e.dur,
+                                  e.arg));
+    }
+    Json other = Json::object();
+    other.set("droppedEvents", trace.dropped);
+    os << "\n],\"otherData\":" << other.render() << "}\n";
 }
 
 } // namespace dhdl::serve

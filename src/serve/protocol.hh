@@ -31,19 +31,22 @@
  * `curl http://127.0.0.1:PORT/metrics` works against a dhdld.
  *
  * This header also owns the compile-time version string and the
- * deterministic renderers (Pareto front, job result, per-job trace)
- * shared by the server, the dhdlc client mode, and the byte-identity
- * tests: a streamed front and an offline `dhdlc explore` of the same
- * seed/config render through the identical code path, so equal
- * results are equal bytes.
+ * deterministic renderers (Pareto front, job result, per-job trace,
+ * the obs metrics and process trace) shared by the server, dhdlc and
+ * the byte-identity tests: a streamed front and an offline `dhdlc
+ * explore` of the same seed/config render through the identical code
+ * path, so equal results are equal bytes.
  */
 
 #ifndef DHDL_SERVE_PROTOCOL_HH
 #define DHDL_SERVE_PROTOCOL_HH
 
+#include <iosfwd>
 #include <string>
 
 #include "dse/explorer.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "serve/json.hh"
 
 namespace dhdl::serve {
@@ -92,9 +95,38 @@ Json resultToJson(const Graph& g, const dse::ExploreResult& res);
  * plan-compile span (only when this job actually compiled — a plan
  * cache hit has none, which the end-to-end test asserts) and one
  * propose/train/rank/eval span group per search round, on a
- * synthetic timeline starting at 0.
+ * synthetic timeline starting at 0. Every span comes from
+ * traceEventToJson(), like the process trace's.
  */
 Json jobTraceToJson(const dse::ExploreResult& res);
+
+/**
+ * A metrics snapshot as `{"counters":{name:n,...},"gauges":{...},
+ * "histograms":{name:{"bounds":[...],"counts":[...],"count":n,
+ * "sum":n},...}}`, entries in snapshot (name-sorted) order — the
+ * `dhdlc --metrics` file.
+ */
+Json metricsToJson(const obs::MetricsSnapshot& m);
+
+/**
+ * One complete ("X") Chrome-trace event: the single event format of
+ * both the process trace and the per-job trace. `arg` >= 0 adds
+ * `"args":{"i":arg}` (the explorer stores the design-point index).
+ */
+Json traceEventToJson(const std::string& cat, const std::string& name,
+                      uint32_t tid, uint64_t ts, uint64_t dur,
+                      int64_t arg = -1);
+
+/**
+ * Stream a trace snapshot as one Chrome-trace document
+ * (`{"displayTimeUnit":"ms","traceEvents":[...],"otherData":
+ * {"droppedEvents":n}}`) — the `dhdlc --trace` file. Each thread
+ * contributes a thread_name metadata event, so Perfetto labels rows
+ * "worker-N", then its events in timestamp order, one per line. A
+ * snapshot may hold 1<<20 events per thread, so events are rendered
+ * one at a time rather than as one tree for the whole document.
+ */
+void writeChromeTrace(std::ostream& os, const obs::TraceSnapshot& trace);
 
 } // namespace dhdl::serve
 

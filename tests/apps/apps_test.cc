@@ -93,5 +93,14 @@ TEST(AppsTest, ScaledSizeQuantizes)
     EXPECT_EQ(scaledSize(192, 1.0, 96), 192);
 }
 
+TEST(AppsTest, IRPathIsAnythingEndingInDotDhdl)
+{
+    EXPECT_TRUE(isIRPath("gda.dhdl"));
+    EXPECT_TRUE(isIRPath("dir/x.dhdl"));
+    EXPECT_FALSE(isIRPath("gda"));
+    EXPECT_FALSE(isIRPath(".dhdl")); // a suffix alone names no file
+    EXPECT_FALSE(isIRPath("gda.dhdl.bak"));
+}
+
 } // namespace
 } // namespace dhdl::apps

@@ -2,24 +2,21 @@
  * Observability subsystem contract: thread-sharded counters merge
  * exactly on snapshot, histogram bucketing honors its edges
  * (lower_bound semantics: bucket b holds v <= bounds[b]), trace ring
- * buffers wrap by dropping oldest events (and say so), and the
- * Chrome-trace / metrics JSON exports are well-formed — verified by
- * parsing them back with a minimal JSON reader written here, so no
- * external dependency is needed. The checkpoint layer's counters and
- * spans are asserted on a real checkpointed explore and resume.
+ * buffers wrap by dropping oldest events (and say so), and long span
+ * names truncate cleanly. Everything is read straight from
+ * snapshotMetrics() and snapshotTrace(); the JSON renderings of those
+ * snapshots are tested in tests/serve/export_test.cc. The checkpoint
+ * layer's counters and spans are asserted on a real checkpointed
+ * explore and resume.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,228 +43,15 @@ class ScopedEnable
     bool prev_;
 };
 
-// ------------------------------------------------- minimal JSON reader
-
-/**
- * Tiny recursive-descent JSON parser, just enough to round-trip the
- * exports: objects, arrays, strings (with escapes), numbers, bools,
- * null. Throws std::runtime_error on malformed input.
- */
-struct Json {
-    enum class Kind { Object, Array, String, Number, Bool, Null };
-    Kind kind = Kind::Null;
-    std::map<std::string, std::shared_ptr<Json>> object;
-    std::vector<std::shared_ptr<Json>> array;
-    std::string str;
-    double num = 0;
-    bool boolean = false;
-
-    const Json&
-    at(const std::string& key) const
-    {
-        auto it = object.find(key);
-        if (it == object.end())
-            throw std::runtime_error("missing key " + key);
-        return *it->second;
-    }
-    bool has(const std::string& key) const
-    {
-        return object.count(key) > 0;
-    }
-};
-
-class JsonParser
+/** Every retained span of the snapshot, across threads. */
+std::vector<TraceEvent>
+allEvents(const TraceSnapshot& snap)
 {
-  public:
-    explicit JsonParser(const std::string& text) : s_(text) {}
-
-    Json
-    parse()
-    {
-        Json v = value();
-        ws();
-        if (i_ != s_.size())
-            throw std::runtime_error("trailing garbage");
-        return v;
-    }
-
-  private:
-    void
-    ws()
-    {
-        while (i_ < s_.size() && std::isspace((unsigned char)s_[i_]))
-            ++i_;
-    }
-
-    char
-    peek()
-    {
-        ws();
-        if (i_ >= s_.size())
-            throw std::runtime_error("unexpected end");
-        return s_[i_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            throw std::runtime_error(std::string("expected ") + c);
-        ++i_;
-    }
-
-    Json
-    value()
-    {
-        switch (peek()) {
-        case '{':
-            return object();
-        case '[':
-            return array();
-        case '"': {
-            Json v;
-            v.kind = Json::Kind::String;
-            v.str = string();
-            return v;
-        }
-        case 't':
-        case 'f':
-            return boolean();
-        case 'n':
-            literal("null");
-            return Json{};
-        default:
-            return number();
-        }
-    }
-
-    Json
-    object()
-    {
-        Json v;
-        v.kind = Json::Kind::Object;
-        expect('{');
-        if (peek() == '}') {
-            ++i_;
-            return v;
-        }
-        for (;;) {
-            std::string key = string();
-            expect(':');
-            v.object[key] = std::make_shared<Json>(value());
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect('}');
-            return v;
-        }
-    }
-
-    Json
-    array()
-    {
-        Json v;
-        v.kind = Json::Kind::Array;
-        expect('[');
-        if (peek() == ']') {
-            ++i_;
-            return v;
-        }
-        for (;;) {
-            v.array.push_back(std::make_shared<Json>(value()));
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            expect(']');
-            return v;
-        }
-    }
-
-    std::string
-    string()
-    {
-        expect('"');
-        std::string out;
-        while (i_ < s_.size() && s_[i_] != '"') {
-            char c = s_[i_++];
-            if (c == '\\') {
-                if (i_ >= s_.size())
-                    throw std::runtime_error("bad escape");
-                char e = s_[i_++];
-                switch (e) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'r': out += '\r'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'u':
-                    if (i_ + 4 > s_.size())
-                        throw std::runtime_error("bad \\u");
-                    out += '?'; // presence is enough for these tests
-                    i_ += 4;
-                    break;
-                default:
-                    throw std::runtime_error("bad escape char");
-                }
-            } else {
-                out += c;
-            }
-        }
-        if (i_ >= s_.size())
-            throw std::runtime_error("unterminated string");
-        ++i_; // closing quote
-        return out;
-    }
-
-    Json
-    number()
-    {
-        size_t start = i_;
-        while (i_ < s_.size() &&
-               (std::isdigit((unsigned char)s_[i_]) || s_[i_] == '-' ||
-                s_[i_] == '+' || s_[i_] == '.' || s_[i_] == 'e' ||
-                s_[i_] == 'E'))
-            ++i_;
-        if (i_ == start)
-            throw std::runtime_error("expected number");
-        Json v;
-        v.kind = Json::Kind::Number;
-        v.num = std::stod(s_.substr(start, i_ - start));
-        return v;
-    }
-
-    Json
-    boolean()
-    {
-        Json v;
-        v.kind = Json::Kind::Bool;
-        if (s_[i_] == 't') {
-            literal("true");
-            v.boolean = true;
-        } else {
-            literal("false");
-        }
-        return v;
-    }
-
-    void
-    literal(const char* word)
-    {
-        for (const char* p = word; *p; ++p) {
-            if (i_ >= s_.size() || s_[i_] != *p)
-                throw std::runtime_error("bad literal");
-            ++i_;
-        }
-    }
-
-    const std::string& s_;
-    size_t i_ = 0;
-};
+    std::vector<TraceEvent> out;
+    for (const ThreadTrace& t : snap.threads)
+        out.insert(out.end(), t.events.begin(), t.events.end());
+    return out;
+}
 
 // ------------------------------------------------------------- metrics
 
@@ -361,28 +145,6 @@ TEST(ObsMetricsTest, GaugeSetWinsOverAdd)
     EXPECT_TRUE(found);
 }
 
-TEST(ObsMetricsTest, MetricsJsonRoundTrips)
-{
-    ScopedEnable on(true);
-    resetMetrics();
-    Counter("test.json.counter").add(5);
-    Histogram("test.json.hist", {1, 2}).observe(2);
-    Gauge("test.json.gauge").set(-4);
-
-    std::ostringstream os;
-    snapshotMetrics().writeJson(os);
-    Json root = JsonParser(os.str()).parse();
-
-    EXPECT_DOUBLE_EQ(
-        root.at("counters").at("test.json.counter").num, 5.0);
-    EXPECT_DOUBLE_EQ(root.at("gauges").at("test.json.gauge").num,
-                     -4.0);
-    const Json& h = root.at("histograms").at("test.json.hist");
-    EXPECT_DOUBLE_EQ(h.at("count").num, 1.0);
-    EXPECT_DOUBLE_EQ(h.at("sum").num, 2.0);
-    ASSERT_EQ(h.at("counts").array.size(), 3u);
-}
-
 // ------------------------------------------------------------- tracing
 
 TEST(ObsTraceTest, RingBufferWrapsByDroppingOldest)
@@ -405,27 +167,19 @@ TEST(ObsTraceTest, RingBufferWrapsByDroppingOldest)
     EXPECT_EQ(s.retained, 64u);
     EXPECT_EQ(s.dropped, 36u);
 
-    // The export keeps the newest events and reports the loss.
-    std::ostringstream os;
-    writeChromeTrace(os);
-    Json root = JsonParser(os.str()).parse();
-    EXPECT_DOUBLE_EQ(
-        root.at("otherData").at("droppedEvents").num, 36.0);
-    uint64_t xEvents = 0;
-    uint64_t minArg = 1000;
-    for (const auto& e : root.at("traceEvents").array) {
-        if (e->at("ph").str != "X")
-            continue;
-        ++xEvents;
-        minArg = std::min<uint64_t>(
-            minArg, uint64_t(e->at("args").at("i").num));
-    }
-    EXPECT_EQ(xEvents, 64u);
-    EXPECT_EQ(minArg, 36u); // oldest 36 were overwritten
+    // The snapshot keeps the newest events and reports the loss.
+    TraceSnapshot snap = snapshotTrace();
+    EXPECT_EQ(snap.dropped, 36u);
+    std::vector<TraceEvent> events = allEvents(snap);
+    ASSERT_EQ(events.size(), 64u);
+    int64_t minArg = 1000;
+    for (const TraceEvent& e : events)
+        minArg = std::min(minArg, e.arg);
+    EXPECT_EQ(minArg, 36); // oldest 36 were overwritten
     setRingCapacity(16384); // restore default for later tests
 }
 
-TEST(ObsTraceTest, ChromeTraceExportIsWellFormed)
+TEST(ObsTraceTest, SnapshotGroupsEventsByNamedThread)
 {
     ScopedEnable on(true);
     resetTrace();
@@ -441,32 +195,25 @@ TEST(ObsTraceTest, ChromeTraceExportIsWellFormed)
     });
     t.join();
 
-    std::ostringstream os;
-    writeChromeTrace(os);
-    Json root = JsonParser(os.str()).parse();
-
-    EXPECT_EQ(root.at("displayTimeUnit").str, "ms");
-    ASSERT_EQ(root.at("traceEvents").kind, Json::Kind::Array);
-
-    std::set<std::string> threadNames;
-    std::set<std::string> spanNames;
-    for (const auto& e : root.at("traceEvents").array) {
-        const std::string& ph = e->at("ph").str;
-        ASSERT_TRUE(ph == "M" || ph == "X") << ph;
-        if (ph == "M") {
-            EXPECT_EQ(e->at("name").str, "thread_name");
-            threadNames.insert(e->at("args").at("name").str);
-        } else {
-            spanNames.insert(e->at("name").str);
-            EXPECT_EQ(e->at("ts").kind, Json::Kind::Number);
-            EXPECT_EQ(e->at("dur").kind, Json::Kind::Number);
-            EXPECT_EQ(e->at("cat").kind, Json::Kind::String);
-        }
+    TraceSnapshot snap = snapshotTrace();
+    EXPECT_EQ(snap.dropped, 0u);
+    std::map<std::string, std::multiset<std::string>> byThread;
+    for (const ThreadTrace& tt : snap.threads) {
+        ASSERT_FALSE(tt.events.empty());
+        // Events within a thread come out in timestamp order.
+        for (size_t i = 1; i < tt.events.size(); ++i)
+            EXPECT_LE(tt.events[i - 1].ts, tt.events[i].ts);
+        for (const TraceEvent& e : tt.events)
+            byThread[tt.name].insert(e.name);
     }
-    EXPECT_TRUE(threadNames.count("worker-test"));
-    EXPECT_TRUE(spanNames.count("outer"));
-    EXPECT_TRUE(spanNames.count("manual"));
-    EXPECT_TRUE(spanNames.count("on-worker"));
+    EXPECT_EQ(byThread["worker-test"],
+              (std::multiset<std::string>{"on-worker"}));
+    EXPECT_EQ(byThread[threadName()],
+              (std::multiset<std::string>{"manual", "outer"}));
+    for (const TraceEvent& e : allEvents(snap)) {
+        EXPECT_STREQ(e.cat, "test");
+        EXPECT_EQ(e.arg, std::string(e.name) == "outer" ? 7 : -1);
+    }
 }
 
 TEST(ObsTraceTest, DisabledSpansRecordNothing)
@@ -488,18 +235,10 @@ TEST(ObsTraceTest, LongNamesAreTruncatedNotCorrupted)
     std::string longName(200, 'n');
     recordSpan("test", longName.c_str(), 0, 1, -1);
 
-    std::ostringstream os;
-    writeChromeTrace(os);
-    Json root = JsonParser(os.str()).parse();
-    bool found = false;
-    for (const auto& e : root.at("traceEvents").array) {
-        if (e->at("ph").str != "X")
-            continue;
-        found = true;
-        EXPECT_EQ(e->at("name").str,
-                  std::string(kTraceNameCap - 1, 'n'));
-    }
-    EXPECT_TRUE(found);
+    std::vector<TraceEvent> events = allEvents(snapshotTrace());
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(std::string(events[0].name),
+              std::string(kTraceNameCap - 1, 'n'));
 }
 
 // ---------------------------------------------------- checkpoint layer
@@ -516,13 +255,9 @@ explorer()
 std::multiset<std::string>
 spanNames()
 {
-    std::ostringstream os;
-    writeChromeTrace(os);
-    Json root = JsonParser(os.str()).parse();
     std::multiset<std::string> names;
-    for (const auto& e : root.at("traceEvents").array)
-        if (e->at("ph").str == "X")
-            names.insert(e->at("cat").str + "/" + e->at("name").str);
+    for (const TraceEvent& e : allEvents(snapshotTrace()))
+        names.insert(std::string(e.cat) + "/" + e.name);
     return names;
 }
 

@@ -79,7 +79,9 @@
  * (src/core/faultinject.hh); dhdlc is the only place that reads it.
  */
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iomanip>
@@ -104,6 +106,7 @@
 #include "estimate/power_model.hh"
 #include "fpga/toolchain.hh"
 #include "serve/client.hh"
+#include "serve/protocol.hh"
 #include "sim/report.hh"
 #include "sim/timing.hh"
 
@@ -146,49 +149,50 @@ struct Args {
 
 /**
  * The one flag table: each entry carries the flag name, its operand
- * placeholder (nullptr for booleans) and the setter. parse() and
- * usage() both walk it, so adding a flag is one line and the two can
- * never disagree — the historical per-flag if/else blocks duplicated
- * every name three times.
+ * placeholder (nullptr for booleans) and the setter, which returns
+ * false for an operand it cannot take. parse() and usage() both walk
+ * it, so adding a flag is one line and the two can never disagree —
+ * the historical per-flag if/else blocks duplicated every name three
+ * times.
  */
 struct FlagDef {
     const char* name;
     const char* operand; //!< e.g. "N"; nullptr = boolean flag.
-    std::function<void(Args&, const char*)> set;
+    std::function<bool(Args&, const char*)> set;
 };
 
 const std::vector<FlagDef>&
 flagTable()
 {
-    auto num = [](int Args::* f) {
-        return [f](Args& a, const char* v) { a.*f = std::atoi(v); };
-    };
-    auto lnum = [](long long Args::* f) {
-        return [f](Args& a, const char* v) { a.*f = std::atoll(v); };
-    };
-    auto fnum = [](double Args::* f) {
-        return [f](Args& a, const char* v) { a.*f = std::atof(v); };
+    // Numeric operands must parse as one whole token: "2k", "four"
+    // and "x" are usage errors, not 2, 0 and 0.
+    auto num = [](auto Args::* f) {
+        return [f](Args& a, const char* v) {
+            const char* end = v + std::strlen(v);
+            auto [p, ec] = std::from_chars(v, end, a.*f);
+            return ec == std::errc() && p == end;
+        };
     };
     auto str = [](std::string Args::* f) {
-        return [f](Args& a, const char* v) { a.*f = v; };
+        return [f](Args& a, const char* v) { a.*f = v; return true; };
     };
     auto flag = [](bool Args::* f) {
-        return [f](Args& a, const char*) { a.*f = true; };
+        return [f](Args& a, const char*) { a.*f = true; return true; };
     };
     static const std::vector<FlagDef> table = {
-        {"--scale", "S", fnum(&Args::scale)},
+        {"--scale", "S", num(&Args::scale)},
         {"--points", "N", num(&Args::points)},
         {"--top", "K", num(&Args::top)},
         {"--out", "DIR", str(&Args::out)},
         {"--threads", "T", num(&Args::threads)},
-        {"--time-budget", "SEC", fnum(&Args::timeBudget)},
-        {"--seed", "SEED", lnum(&Args::seed)},
+        {"--time-budget", "SEC", num(&Args::timeBudget)},
+        {"--seed", "SEED", num(&Args::seed)},
         {"--checkpoint", "FILE", str(&Args::checkpoint)},
-        {"--checkpoint-every", "N", lnum(&Args::checkpointEvery)},
+        {"--checkpoint-every", "N", num(&Args::checkpointEvery)},
         {"--resume", nullptr, flag(&Args::resume)},
         {"--shard", "I/N", str(&Args::shard)},
         {"--shards", "N", num(&Args::shards)},
-        {"--shard-timeout", "SEC", fnum(&Args::shardTimeout)},
+        {"--shard-timeout", "SEC", num(&Args::shardTimeout)},
         {"--retries", "R", num(&Args::retries)},
         {"--strategy", "random|surrogate", str(&Args::strategy)},
         {"--initial-points", "N", num(&Args::initialPoints)},
@@ -197,7 +201,7 @@ flagTable()
         {"--load-model", "FILE", str(&Args::loadModel)},
         {"--server", "HOST:PORT", str(&Args::server)},
         {"--tenant", "NAME", str(&Args::tenant)},
-        {"--job", "ID", lnum(&Args::job)},
+        {"--job", "ID", num(&Args::job)},
         {"--follow", nullptr, flag(&Args::follow)},
         {"--wait", nullptr, flag(&Args::wait)},
         {"--profile", nullptr, flag(&Args::profile)},
@@ -251,7 +255,8 @@ parse(int argc, char** argv, Args& args)
                 return false;
             v = argv[++i];
         }
-        def->set(args, v);
+        if (!def->set(args, v))
+            return false;
     }
     return true;
 }
@@ -291,19 +296,7 @@ load(const Args& args)
 std::string
 designStem(const Args& args, const Graph& g)
 {
-    if (args.benchmark.size() > 5 &&
-        args.benchmark.compare(args.benchmark.size() - 5, 5,
-                               ".dhdl") == 0)
-        return g.name();
-    return args.benchmark;
-}
-
-void
-printBinding(const Graph& g, const ParamBinding& b)
-{
-    for (size_t i = 0; i < g.params().size(); ++i)
-        std::cout << (i ? " " : "") << g.params()[ParamId(i)].name
-                  << "=" << b.values[i];
+    return apps::isIRPath(args.benchmark) ? g.name() : args.benchmark;
 }
 
 /**
@@ -446,10 +439,28 @@ printPareto(const Graph& g, const dse::ExploreResult& res, int top)
                                         double(dev.alms))
                   << "% bram=" << int64_t(100.0 * p.area.brams /
                                           double(dev.m20ks))
-                  << "%  [";
-        printBinding(g, p.binding);
-        std::cout << "]\n";
+                  << "%  [" << dse::renderBinding(g, p.binding) << "]\n";
     }
+}
+
+/**
+ * Merge the shard checkpoints of `args` and print the global result
+ * (flagging a partial merge first); true when every shard merged.
+ */
+bool
+printMerged(const Graph& g, const Args& args)
+{
+    auto merged = dse::mergeShards(g, makeConfig(args), args.shards,
+                                   args.checkpoint);
+    if (!merged.complete()) {
+        std::cout << "partial merge; missing shard(s):";
+        for (int s : merged.missingShards)
+            std::cout << " " << s;
+        std::cout << "\n";
+    }
+    printStats(merged.result);
+    printPareto(g, merged.result, args.top);
+    return merged.complete();
 }
 
 /** Path of this binary, for relaunching ourselves as shard workers. */
@@ -544,17 +555,7 @@ cmdSupervise(const Args& args)
         std::cout << sup.retries << " retried attempt(s), "
                   << sup.timeouts << " watchdog timeout(s)\n";
 
-    auto merged = dse::mergeShards(l.graph, makeConfig(args),
-                                   args.shards, args.checkpoint);
-    if (!merged.complete()) {
-        std::cout << "partial merge; missing shard(s):";
-        for (int s : merged.missingShards)
-            std::cout << " " << s;
-        std::cout << "\n";
-    }
-    printStats(merged.result);
-    printPareto(l.graph, merged.result, args.top);
-    return merged.complete() && sup.allSucceeded() ? 0 : 1;
+    return printMerged(l.graph, args) && sup.allSucceeded() ? 0 : 1;
 }
 
 int
@@ -579,17 +580,7 @@ cmdMerge(const Args& args)
     require(!args.checkpoint.empty(), "merge needs --checkpoint");
     require(args.shards >= 1, "merge needs --shards N");
     Loaded l = load(args);
-    auto merged = dse::mergeShards(l.graph, makeConfig(args),
-                                   args.shards, args.checkpoint);
-    if (!merged.complete()) {
-        std::cout << "partial merge; missing shard(s):";
-        for (int s : merged.missingShards)
-            std::cout << " " << s;
-        std::cout << "\n";
-    }
-    printStats(merged.result);
-    printPareto(l.graph, merged.result, args.top);
-    return merged.complete() ? 0 : 1;
+    return printMerged(l.graph, args) ? 0 : 1;
 }
 
 int
@@ -608,9 +599,8 @@ cmdReport(const Args& args)
     auto truth = est::defaultToolchain().synthesize(inst);
     auto timed = sim::TimingSim(inst).run();
 
-    std::cout << "best design: [";
-    printBinding(l.graph, p.binding);
-    std::cout << "]\n";
+    std::cout << "best design: [" << dse::renderBinding(l.graph, p.binding)
+              << "]\n";
     std::cout << "             estimate      synthesized/simulated\n";
     std::cout << "ALMs     " << int64_t(p.area.alms) << "  vs  "
               << int64_t(truth.alms) << "\n";
@@ -711,9 +701,7 @@ cmdSubmit(const Args& args)
     serve::Json req = serve::Json::object();
     req.set("op", "submit");
     req.set("tenant", args.tenant.empty() ? "dhdlc" : args.tenant);
-    if (args.benchmark.size() > 5 &&
-        args.benchmark.compare(args.benchmark.size() - 5, 5,
-                               ".dhdl") == 0) {
+    if (apps::isIRPath(args.benchmark)) {
         // Ship the IR text: the daemon never reads client paths.
         std::ifstream in(args.benchmark);
         require(bool(in), "cannot read " + args.benchmark);
@@ -899,7 +887,8 @@ finishObs(const Args& args)
     }
     if (!args.metrics.empty()) {
         std::ofstream os(args.metrics);
-        obs::snapshotMetrics().writeJson(os);
+        os << serve::metricsToJson(obs::snapshotMetrics()).render()
+           << "\n";
         if (os)
             std::cerr << "wrote metrics to " << args.metrics << "\n";
         else
@@ -908,7 +897,7 @@ finishObs(const Args& args)
     }
     if (!args.trace.empty()) {
         std::ofstream os(args.trace);
-        obs::writeChromeTrace(os);
+        serve::writeChromeTrace(os, obs::snapshotTrace());
         if (os)
             std::cerr << "wrote trace to " << args.trace
                       << " (load at ui.perfetto.dev)\n";
