@@ -98,6 +98,9 @@ enum class SlotPatch : uint8_t {
     Tile,          //!< lanes, vec = par value, tileElems
 };
 
+/** Number of SlotPatch values (for dense per-patch tables). */
+inline constexpr size_t kNumSlotPatches = size_t(SlotPatch::Tile) + 1;
+
 /** One pre-compiled template instantiation slot. */
 struct TemplateSlot {
     /** Invariant fields pre-filled; patched fields overwritten. */

@@ -107,66 +107,7 @@ void
 patchTemplate(const TemplateSlot& s, const Inst& inst, TemplateInst& t)
 {
     t = s.base;
-    const NodeId id = t.node;
-    switch (s.patch) {
-      case SlotPatch::Prim:
-        t.lanes = inst.lanes(id);
-        break;
-      case SlotPatch::LoadStore:
-        t.lanes = inst.lanes(id);
-        if (s.ref != kNoNode)
-            t.banks = inst.banks(s.ref);
-        break;
-      case SlotPatch::Bram:
-        t.lanes = inst.lanes(id);
-        t.elems = inst.memElems(id);
-        t.banks = inst.banks(id);
-        t.doubleBuf = inst.doubleBuffered(id);
-        break;
-      case SlotPatch::Reg:
-        t.lanes = inst.lanes(id);
-        t.doubleBuf = inst.doubleBuffered(id);
-        break;
-      case SlotPatch::Queue:
-        t.lanes = inst.lanes(id);
-        t.depth = inst.val(s.sym);
-        t.elems = t.depth;
-        t.doubleBuf = inst.doubleBuffered(id);
-        break;
-      case SlotPatch::Counter:
-        // The counter's vector width equals the parallelization of
-        // its controller; it is replicated once per controller copy.
-        t.lanes = s.ref != kNoNode ? inst.lanes(s.ref) : 1;
-        t.vec = s.ref != kNoNode ? inst.par(s.ref) : 1;
-        break;
-      case SlotPatch::Ctrl:
-        t.lanes = inst.lanes(id);
-        t.vec = inst.par(id);
-        break;
-      case SlotPatch::CtrlSeqOrMeta:
-        t.tkind = inst.metaActive(id) ? TemplateKind::MetaPipeCtrl
-                                      : TemplateKind::SeqCtrl;
-        t.lanes = inst.lanes(id);
-        t.vec = inst.par(id);
-        break;
-      case SlotPatch::Reduce:
-        t.lanes = inst.lanes(id);
-        t.vec = inst.par(id);
-        t.elems = inst.memElems(s.ref);
-        break;
-      case SlotPatch::DelayLine:
-        t.lanes = inst.lanes(id) * inst.par(id);
-        break;
-      case SlotPatch::Tile: {
-        t.lanes = inst.lanes(id);
-        t.vec = inst.val(s.sym);
-        int64_t e = 1;
-        for (const Sym& x : *s.extent)
-            e *= inst.val(x);
-        t.tileElems = e;
-        break;
-      }
-    }
+    patchTemplateFields(s.patch, s, inst, t);
 }
 
 void

@@ -5,6 +5,18 @@
 
 namespace dhdl {
 
+void
+fatalLiteral(const char* msg, DiagCode code)
+{
+    fatal(std::string(msg), code);
+}
+
+void
+panicLiteral(const char* msg)
+{
+    panic(std::string(msg));
+}
+
 const char*
 diagCodeName(DiagCode code)
 {

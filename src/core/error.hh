@@ -108,6 +108,14 @@ require(bool cond, const std::string& msg,
 }
 
 /**
+ * Out-of-line fatal()/panic() for the literal-message overloads
+ * below: with the message materialization and the throw kept out of
+ * the inline body, the compiler inlines a passing check everywhere.
+ */
+[[noreturn]] void fatalLiteral(const char* msg, DiagCode code);
+[[noreturn]] void panicLiteral(const char* msg);
+
+/**
  * Literal-message overload: the std::string is materialized only on
  * failure, so a passing check costs one branch. The estimators call
  * require()/invariant() millions of times per sweep; the
@@ -119,7 +127,7 @@ require(bool cond, const char* msg,
         DiagCode code = DiagCode::UserError)
 {
     if (!cond) [[unlikely]]
-        fatal(std::string(msg), code);
+        fatalLiteral(msg, code);
 }
 
 /** Assert an internal invariant; throws PanicError when violated. */
@@ -135,7 +143,7 @@ inline void
 invariant(bool cond, const char* msg)
 {
     if (!cond) [[unlikely]]
-        panic(std::string(msg));
+        panicLiteral(msg);
 }
 
 } // namespace dhdl

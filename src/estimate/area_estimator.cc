@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
 
-#include "analysis/critical_path.hh"
 #include "ml/serialize.hh"
 
 namespace dhdl::est {
@@ -19,6 +20,63 @@ AreaEstimator::designFeatures(const AreaModel& model,
     return out;
 }
 
+namespace {
+
+/**
+ * The binding-invariant design features of a template sequence;
+ * `tmpl` maps an element to its template, of which only the kind and
+ * bit width are read.
+ */
+template <class Range, class Tmpl>
+DesignInvariants
+invariantsOf(const fpga::Device& dev, const Range& r, Tmpl tmpl)
+{
+    DesignInvariants di;
+    double bits_sum = 0;
+    for (const auto& e : r) {
+        const TemplateInst& t = tmpl(e);
+        switch (templateClassOf(t.tkind)) {
+          case TemplateClass::Control:
+            di.nCtrl += 1;
+            break;
+          case TemplateClass::Memory:
+            di.nMem += 1;
+            break;
+          case TemplateClass::Transfer:
+            di.nXfer += 1;
+            break;
+          case TemplateClass::Other:
+            break;
+        }
+        bits_sum += t.bits;
+    }
+    double n = double(std::max<size_t>(1, std::size(r)));
+    di.log2n = std::log2(1.0 + n);
+    di.bitsOverN = bits_sum / n;
+    di.lutsDenom = double(dev.alms * dev.lutsPerAlm);
+    return di;
+}
+
+/** The one writer of the 11 ANN design features (Section IV-B2). */
+void
+designRowInto(const DesignInvariants& di, const Resources& raw,
+              double* out)
+{
+    out[0] = std::log2(1.0 + raw.lutsPack);
+    out[1] = std::log2(1.0 + raw.lutsNoPack);
+    out[2] = std::log2(1.0 + raw.regs);
+    out[3] = std::log2(1.0 + raw.dsps);
+    out[4] = std::log2(1.0 + raw.brams);
+    out[5] = di.log2n;
+    out[6] = di.nCtrl;
+    out[7] = di.nMem;
+    out[8] = di.nXfer;
+    out[9] = di.bitsOverN;
+    out[10] = raw.totalLuts() / di.lutsDenom;
+}
+
+} // namespace
+
 void
 AreaEstimator::designFeaturesInto(const AreaModel& model,
                                   const fpga::Device& dev,
@@ -27,43 +85,16 @@ AreaEstimator::designFeaturesInto(const AreaModel& model,
                                   std::vector<double>& out)
 {
     (void)model;
-    double n_ctrl = 0, n_mem = 0, n_xfer = 0, bits_sum = 0;
-    for (const auto& t : ts) {
-        switch (templateClassOf(t.tkind)) {
-          case TemplateClass::Control:
-            n_ctrl += 1;
-            break;
-          case TemplateClass::Memory:
-            n_mem += 1;
-            break;
-          case TemplateClass::Transfer:
-            n_xfer += 1;
-            break;
-          case TemplateClass::Other:
-            break;
-        }
-        bits_sum += t.bits;
-    }
-    double n = double(std::max<size_t>(1, ts.size()));
-    out.assign({
-        std::log2(1.0 + raw.lutsPack),
-        std::log2(1.0 + raw.lutsNoPack),
-        std::log2(1.0 + raw.regs),
-        std::log2(1.0 + raw.dsps),
-        std::log2(1.0 + raw.brams),
-        std::log2(1.0 + n),
-        n_ctrl,
-        n_mem,
-        n_xfer,
-        bits_sum / n,
-        raw.totalLuts() / double(dev.alms * dev.lutsPerAlm),
-    });
+    out.resize(kDesignFeatures);
+    designRowInto(invariantsOf(dev, ts, std::identity{}), raw,
+                  out.data());
 }
 
 AreaEstimator::AreaEstimator(const fpga::VendorToolchain& tc,
                              int train_designs, uint64_t seed)
-    : dev_(tc.device()), routeNet_({11, 6, 1}, seed ^ 1),
-      dupRegNet_({11, 6, 1}, seed ^ 2), unavailNet_({11, 6, 1}, seed ^ 3)
+    : dev_(tc.device()), routeNet_({kDesignFeatures, 6, 1}, seed ^ 1),
+      dupRegNet_({kDesignFeatures, 6, 1}, seed ^ 2),
+      unavailNet_({kDesignFeatures, 6, 1}, seed ^ 3)
 {
     // Step 1: characterize templates and fit the analytical models.
     model_.fit(characterizeTemplates(tc));
@@ -204,24 +235,6 @@ AreaEstimator::assemble(Resources raw, double route_frac,
 
 AreaEstimate
 AreaEstimator::estimateList(const std::vector<TemplateInst>& ts,
-                            std::vector<double>& feat) const
-{
-    Resources raw;
-    for (const auto& t : ts)
-        raw += model_.cost(t, feat);
-    auto f = featScaler_.transformed(
-        designFeatures(model_, dev_, ts, raw));
-    double route = targetScaler_.inverseColumn(
-        0, routeNet_.predictScalar(f));
-    double dup_reg = targetScaler_.inverseColumn(
-        1, dupRegNet_.predictScalar(f));
-    double unavail = targetScaler_.inverseColumn(
-        2, unavailNet_.predictScalar(f));
-    return assemble(raw, route, dup_reg, unavail, packRate_);
-}
-
-AreaEstimate
-AreaEstimator::estimateList(const std::vector<TemplateInst>& ts,
                             AreaWorkspace& ws) const
 {
     Resources raw;
@@ -241,106 +254,32 @@ AreaEstimator::estimateList(const std::vector<TemplateInst>& ts,
 AreaEstimate
 AreaEstimator::estimateList(const std::vector<TemplateInst>& ts) const
 {
-    std::vector<double> feat;
-    return estimateList(ts, feat);
+    AreaWorkspace ws;
+    return estimateList(ts, ws);
 }
 
 namespace {
 
-/** Map a slot's (patch, base kind) onto its fused batch recipe. */
-AreaBatchPlan::Recipe
-resolveRecipe(const TemplateSlot& s)
-{
-    using R = AreaBatchPlan::Recipe;
-    switch (s.patch) {
-      case SlotPatch::Prim:
-        return s.base.tkind == TemplateKind::PrimOp ? R::Prim
-                                                    : R::Generic;
-      case SlotPatch::LoadStore:
-        return s.base.tkind == TemplateKind::LoadStore ? R::LoadStore
-                                                       : R::Generic;
-      case SlotPatch::Bram:
-        return s.base.tkind == TemplateKind::BramInst ? R::Bram
-                                                      : R::Generic;
-      case SlotPatch::Reg:
-        return s.base.tkind == TemplateKind::RegInst ? R::Reg
-                                                     : R::Generic;
-      case SlotPatch::Queue:
-        return s.base.tkind == TemplateKind::QueueInst ? R::Queue
-                                                       : R::Generic;
-      case SlotPatch::Counter:
-        return s.base.tkind == TemplateKind::CounterInst ? R::Counter
-                                                         : R::Generic;
-      case SlotPatch::Ctrl:
-        switch (s.base.tkind) {
-          case TemplateKind::PipeCtrl:
-            return R::PipeCtrl;
-          case TemplateKind::SeqCtrl:
-          case TemplateKind::ParCtrl:
-          case TemplateKind::MetaPipeCtrl:
-            return R::Ctrl;
-          default:
-            return R::Generic;
-        }
-      case SlotPatch::CtrlSeqOrMeta:
-        return R::CtrlSeqOrMeta;
-      case SlotPatch::Reduce:
-        return s.base.tkind == TemplateKind::ReduceTree ? R::Reduce
-                                                        : R::Generic;
-      case SlotPatch::DelayLine:
-        return s.base.tkind == TemplateKind::DelayLine ? R::DelayLine
-                                                       : R::Generic;
-      case SlotPatch::Tile:
-        return s.base.tkind == TemplateKind::TileTransfer ? R::Tile
-                                                          : R::Generic;
-    }
-    return R::Generic;
-}
-
 /** Points per SoA feature tile in estimateBatch. */
 constexpr size_t kAreaTile = 64;
 
-/**
- * Fused max(0, w.f + b) accumulation of one slot's five resource
- * models into a point's raw totals. NF is the slot kind's feature
- * count, known at compile time per recipe, so the dot unrolls fully;
- * the q-order accumulation matches LinearModel::predict exactly.
- */
-template <size_t NF>
-inline void
-accumulate(const double* f,
-           const double (&w)[5][AreaModel::kMaxFeatures],
-           const double (&b)[5], Resources& r)
-{
-    double s0 = b[0], s1 = b[1], s2 = b[2], s3 = b[3], s4 = b[4];
-    for (size_t q = 0; q < NF; ++q) {
-        const double fq = f[q];
-        s0 += w[0][q] * fq;
-        s1 += w[1][q] * fq;
-        s2 += w[2][q] * fq;
-        s3 += w[3][q] * fq;
-        s4 += w[4][q] * fq;
-    }
-    r.lutsPack += std::max(0.0, s0);
-    r.lutsNoPack += std::max(0.0, s1);
-    r.regs += std::max(0.0, s2);
-    r.dsps += std::max(0.0, s3);
-    r.brams += std::max(0.0, s4);
-}
+/** Feature-major tile: [feature][point]. */
+using FeatureTile = double[AreaModel::kMaxFeatures][kAreaTile];
+/** One bundle's weights: [lutsPack,lutsNoPack,regs,dsps,brams][feature]. */
+using BundleWeights = double[5][AreaModel::kMaxFeatures];
 
 /**
- * accumulate() across a whole SoA feature tile: f[q] holds feature q
- * of bn points. Looping points innermost turns every multiply-add
- * into a contiguous vectorizable sweep; per point, the partial sums
- * still start from the bias and add the weighted features in
- * ascending q — the identical order and rounding of accumulate(),
- * hence of the scalar LinearModel::predict chain.
+ * Fused max(0, w.f + b) accumulation of one slot's five resource
+ * models across a whole SoA feature tile: f[q] holds feature q of bn
+ * points. Looping points innermost turns every multiply-add into a
+ * contiguous vectorizable sweep; per point, the partial sums still
+ * start from the bias and add the weighted features in ascending q —
+ * the identical order and rounding of the scalar LinearModel::predict
+ * chain. NF is the slot's feature count, so the q loops unroll fully.
  */
 template <size_t NF>
 inline void
-accumulateTile(const double (&f)[AreaModel::kMaxFeatures][kAreaTile],
-               size_t bn,
-               const double (&w)[5][AreaModel::kMaxFeatures],
+accumulateTile(const FeatureTile& f, size_t bn, const BundleWeights& w,
                const double (&b)[5], Resources* raw)
 {
     double s[5][kAreaTile];
@@ -364,15 +303,36 @@ accumulateTile(const double (&f)[AreaModel::kMaxFeatures][kAreaTile],
     }
 }
 
-/** accumulate with a runtime feature count (Generic fallback). */
+/** accumulateTile() for a feature count known at run time. */
 inline void
-accumulateN(const double* f, size_t nf,
-            const double (&w)[5][AreaModel::kMaxFeatures],
-            const double (&b)[5], Resources& r)
+accumulateTile(size_t nf, const FeatureTile& f, size_t bn,
+               const BundleWeights& w, const double (&b)[5],
+               Resources* raw)
+{
+    static_assert(AreaModel::kMaxFeatures == 6);
+    switch (nf) {
+      case 1: return accumulateTile<1>(f, bn, w, b, raw);
+      case 2: return accumulateTile<2>(f, bn, w, b, raw);
+      case 3: return accumulateTile<3>(f, bn, w, b, raw);
+      case 4: return accumulateTile<4>(f, bn, w, b, raw);
+      case 5: return accumulateTile<5>(f, bn, w, b, raw);
+      case 6: return accumulateTile<6>(f, bn, w, b, raw);
+    }
+    invariant(false, "feature count out of range");
+}
+
+/**
+ * One point's accumulateTile() terms, read from column p of the
+ * tile, for a slot whose weight bundle varies per point.
+ */
+inline void
+accumulatePoint(const FeatureTile& f, size_t p, size_t nf,
+                const BundleWeights& w, const double (&b)[5],
+                Resources& r)
 {
     double s0 = b[0], s1 = b[1], s2 = b[2], s3 = b[3], s4 = b[4];
     for (size_t q = 0; q < nf; ++q) {
-        const double fq = f[q];
+        const double fq = f[q][p];
         s0 += w[0][q] * fq;
         s1 += w[1][q] * fq;
         s2 += w[2][q] * fq;
@@ -386,6 +346,60 @@ accumulateN(const double* f, size_t nf,
     r.brams += std::max(0.0, s4);
 }
 
+/**
+ * Cost one template slot across insts[0..n). Per tile of kAreaTile
+ * points: patch the slot's template for each point, write its
+ * features into the feature-major tile, then sweep the dot across the
+ * tile. K and P are the slot's base kind and patch as compile-time
+ * constants, so the patch and feature switches fold out of the
+ * per-point loop. The patch never changes a slot's feature layout: a
+ * CtrlSeqOrMeta slot only toggles between SeqCtrl and MetaPipeCtrl,
+ * which share one, and picks that kind's weight bundle per point.
+ */
+template <TemplateKind K, SlotPatch P>
+void
+costSlot(const AreaBatchPlan::SlotKernel& k, const InstPool& insts,
+         size_t n, Resources* raw)
+{
+    const TemplateSlot& s = *k.slot;
+    TemplateInst t = s.base; // every patch rewrites the same fields
+    double f[AreaModel::kMaxFeatures];
+    FeatureTile ft;
+    bool meta[kAreaTile];
+    for (size_t lo = 0; lo < n; lo += kAreaTile) {
+        const size_t bn = std::min(kAreaTile, n - lo);
+        for (size_t p = 0; p < bn; ++p) {
+            patchTemplateFields(P, s, insts[lo + p], t);
+            const size_t nf = AreaModel::featuresOf(K, t, f);
+            for (size_t q = 0; q < nf; ++q)
+                ft[q][p] = f[q];
+            meta[p] = t.tkind == TemplateKind::MetaPipeCtrl;
+        }
+        if (!k.dual) {
+            accumulateTile(k.nf, ft, bn, k.w[0], k.b[0], raw + lo);
+            continue;
+        }
+        for (size_t p = 0; p < bn; ++p)
+            accumulatePoint(ft, p, k.nf, k.w[meta[p]], k.b[meta[p]],
+                            raw[lo + p]);
+    }
+}
+
+using SlotCostFn = void (*)(const AreaBatchPlan::SlotKernel&,
+                            const InstPool&, size_t, Resources*);
+
+template <size_t... I>
+constexpr std::array<SlotCostFn, sizeof...(I)>
+slotCostTable(std::index_sequence<I...>)
+{
+    return {&costSlot<TemplateKind(I / kNumSlotPatches),
+                      SlotPatch(I % kNumSlotPatches)>...};
+}
+
+/** costSlot<K, P> for every (kind, patch), at K * kNumSlotPatches + P. */
+constexpr auto kSlotCost = slotCostTable(
+    std::make_index_sequence<kNumTemplateKinds * kNumSlotPatches>());
+
 } // namespace
 
 AreaBatchPlan
@@ -397,10 +411,6 @@ AreaEstimator::makeBatchPlan(const DesignPlan& plan) const
     bp.kernels_.resize(slots.size());
     bp.ok_ = true;
 
-    // The invariant count features replicate the scalar path's
-    // per-point accumulation over doubles; every partial sum is an
-    // exact small integer, so the precomputed totals are bit-equal.
-    double bits_sum = 0;
     for (size_t i = 0; i < slots.size(); ++i) {
         const TemplateSlot& s = slots[i];
         auto& k = bp.kernels_[i];
@@ -412,7 +422,6 @@ AreaEstimator::makeBatchPlan(const DesignPlan& plan) const
             probe.tkind = TemplateKind::SeqCtrl;
         double buf[AreaModel::kMaxFeatures];
         k.nf = uint32_t(AreaModel::featuresInto(probe, buf));
-        k.recipe = resolveRecipe(s);
 
         for (int v = 0; v < (k.dual ? 2 : 1); ++v) {
             if (v == 1)
@@ -433,28 +442,16 @@ AreaEstimator::makeBatchPlan(const DesignPlan& plan) const
                 k.b[v][m] = (*ms)[size_t(m)].bias();
             }
         }
-
-        switch (templateClassOf(k.dual ? TemplateKind::SeqCtrl
-                                       : s.base.tkind)) {
-          case TemplateClass::Control:
-            bp.nCtrl_ += 1;
-            break;
-          case TemplateClass::Memory:
-            bp.nMem_ += 1;
-            break;
-          case TemplateClass::Transfer:
-            bp.nXfer_ += 1;
-            break;
-          case TemplateClass::Other:
-            break;
-        }
-        bits_sum += s.base.bits;
     }
 
-    double n = double(std::max<size_t>(1, slots.size()));
-    bp.log2n_ = std::log2(1.0 + n);
-    bp.bitsOverN_ = bits_sum / n;
-    bp.lutsDenom_ = double(dev_.alms * dev_.lutsPerAlm);
+    // Patching changes no slot's kind class or bit width, so the
+    // invariant features over the bases equal the scalar path's
+    // per-point ones bit for bit.
+    bp.design_ = invariantsOf(
+        dev_, slots,
+        [](const TemplateSlot& s) -> const TemplateInst& {
+            return s.base;
+        });
     return bp;
 }
 
@@ -464,272 +461,28 @@ AreaEstimator::estimateBatch(const AreaBatchPlan& bp,
                              AreaBatchWorkspace& ws,
                              AreaEstimate* out) const
 {
-    constexpr size_t kd = 11; // ANN design features
     invariant(bp.ok_, "estimateBatch on a failed batch plan");
     ws.raw.assign(n, Resources{});
 
     // Slot-outer raw counting: per field, each point accumulates one
     // max(0, dot) term per slot in slot order — the scalar path's
-    // exact chain, just interleaved across the batch. Each slot's
-    // recipe computes featuresInto()'s expressions directly from the
-    // bound instance (identical values and operation order) without
-    // patching a TemplateInst copy per point.
+    // exact chain, just interleaved across the batch.
     for (const auto& k : bp.kernels_) {
         const TemplateSlot& s = *k.slot;
-        const TemplateInst& tb = s.base;
-        const NodeId id = tb.node;
-        const double bits = double(tb.bits);
-        const auto& w0 = k.w[0];
-        const auto& b0 = k.b[0];
-        double f[AreaModel::kMaxFeatures] = {};
-        double ft[AreaModel::kMaxFeatures][kAreaTile];
-        Resources* raw = ws.raw.data();
-
-        // Tiled recipes gather each feature into a contiguous lane of
-        // `ft` (feature-major SoA over up to kAreaTile points), then
-        // let accumulateTile sweep the dot across the whole tile.
-        using R = AreaBatchPlan::Recipe;
-        switch (k.recipe) {
-          case R::Prim:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const double lanes =
-                        double(insts[lo + t].lanes(id));
-                    ft[0][t] = lanes;
-                    ft[1][t] = lanes * bits;
-                    ft[2][t] = lanes * bits * bits / 64.0;
-                }
-                accumulateTile<3>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::LoadStore:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(in.lanes(id));
-                    const int bk = s.ref != kNoNode
-                                       ? in.banks(s.ref)
-                                       : tb.banks;
-                    const double banks = double(std::max(1, bk));
-                    ft[0][t] = lanes;
-                    ft[1][t] = lanes * bits;
-                    ft[2][t] = lanes * banks;
-                    ft[3][t] = lanes * bits *
-                               std::log2(std::max(1.0, banks));
-                }
-                accumulateTile<4>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::Bram:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(in.lanes(id));
-                    const double banks =
-                        double(std::max(1, in.banks(id)));
-                    const double copies =
-                        lanes * (in.doubleBuffered(id) ? 2.0 : 1.0);
-                    const double depth =
-                        std::ceil(double(in.memElems(id)) / banks);
-                    const bool mlab = depth * bits <= 640.0;
-                    ft[0][t] =
-                        mlab ? 0.0
-                             : std::max(
-                                   std::ceil(depth * bits / 20480.0),
-                                   std::ceil(bits / 40.0)) *
-                                   banks * copies;
-                    ft[1][t] =
-                        mlab ? depth * bits * banks * copies : 0.0;
-                    ft[2][t] = lanes;
-                    ft[3][t] = lanes * banks;
-                    ft[4][t] = lanes * bits * banks / 32.0;
-                    ft[5][t] = copies * bits * banks / 32.0;
-                }
-                accumulateTile<6>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::Reg:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(in.lanes(id));
-                    const double copies =
-                        lanes * (in.doubleBuffered(id) ? 2.0 : 1.0);
-                    ft[0][t] = copies * bits;
-                    ft[1][t] = lanes;
-                    ft[2][t] = lanes * bits;
-                }
-                accumulateTile<3>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::Queue:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(in.lanes(id));
-                    ft[0][t] = lanes * double(in.val(s.sym)) * bits;
-                    ft[1][t] = lanes;
-                }
-                accumulateTile<2>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::Counter:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(
-                        s.ref != kNoNode ? in.lanes(s.ref)
-                                         : int64_t(1));
-                    const double vec = double(std::max<int64_t>(
-                        1, s.ref != kNoNode ? in.par(s.ref) : 1));
-                    ft[0][t] = lanes * double(tb.ctrDims);
-                    ft[1][t] = lanes * vec;
-                    ft[2][t] = lanes;
-                }
-                accumulateTile<3>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::PipeCtrl:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(in.lanes(id));
-                    const double vec =
-                        double(std::max<int64_t>(1, in.par(id)));
-                    ft[0][t] = lanes;
-                    ft[1][t] = lanes * vec;
-                }
-                accumulateTile<2>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::Ctrl:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(in.lanes(id));
-                    const double vec =
-                        double(std::max<int64_t>(1, in.par(id)));
-                    ft[0][t] = lanes;
-                    ft[1][t] = lanes * double(tb.stages);
-                    ft[2][t] = lanes * vec;
-                }
-                accumulateTile<3>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::CtrlSeqOrMeta:
-            // Weight bundle toggles per point; stays scalar.
-            for (size_t p = 0; p < n; ++p) {
-                const Inst& in = insts[p];
-                const double lanes = double(in.lanes(id));
-                const double vec =
-                    double(std::max<int64_t>(1, in.par(id)));
-                f[0] = lanes;
-                f[1] = lanes * double(tb.stages);
-                f[2] = lanes * vec;
-                const bool alt = in.metaActive(id);
-                accumulate<3>(f, k.w[alt], k.b[alt], raw[p]);
-            }
-            break;
-          case R::Reduce:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(in.lanes(id));
-                    const double vec =
-                        double(std::max<int64_t>(1, in.par(id)));
-                    ft[0][t] = lanes * std::max(0.0, vec - 1.0);
-                    ft[1][t] =
-                        lanes * std::log2(1.0 + vec) * bits / 32.0;
-                    ft[2][t] = lanes;
-                }
-                accumulateTile<3>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::DelayLine: {
-            const bool fifo = tb.depth > kBramDelayThreshold;
-            const double f0w = fifo ? 0.0 : tb.delayBits;
-            const double f1w =
-                fifo ? std::ceil(tb.delayBits / 20480.0) : 0.0;
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes =
-                        double(in.lanes(id) * in.par(id));
-                    ft[0][t] = f0w * lanes;
-                    ft[1][t] = f1w * lanes;
-                    ft[2][t] = lanes;
-                }
-                accumulateTile<3>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          }
-          case R::Tile:
-            for (size_t lo = 0; lo < n; lo += kAreaTile) {
-                const size_t bn = std::min(kAreaTile, n - lo);
-                for (size_t t = 0; t < bn; ++t) {
-                    const Inst& in = insts[lo + t];
-                    const double lanes = double(in.lanes(id));
-                    const double vec =
-                        double(std::max<int64_t>(1, in.val(s.sym)));
-                    int64_t e = 1;
-                    for (const Sym& x : *s.extent)
-                        e *= in.val(x);
-                    const double width = bits * vec;
-                    ft[0][t] = lanes;
-                    ft[1][t] = lanes * width;
-                    ft[2][t] = lanes * std::log2(1.0 + double(e));
-                    ft[3][t] =
-                        lanes * std::ceil(512.0 * width / 20480.0);
-                }
-                accumulateTile<4>(ft, bn, w0, b0, raw + lo);
-            }
-            break;
-          case R::Generic:
-            for (size_t p = 0; p < n; ++p) {
-                TemplateInst t;
-                patchTemplate(s, insts[p], t);
-                AreaModel::featuresInto(t, f);
-                const bool alt =
-                    k.dual &&
-                    t.tkind == TemplateKind::MetaPipeCtrl;
-                accumulateN(f, k.nf, k.w[alt], k.b[alt], raw[p]);
-            }
-            break;
-        }
+        kSlotCost[size_t(s.base.tkind) * kNumSlotPatches +
+                  size_t(s.patch)](k, insts, n, ws.raw.data());
     }
 
     // Batched ANN tail: design-feature rows, scaling, the three
     // effect networks, then per-point assembly.
-    ws.designFeat.resize(n * kd);
-    ws.scaled.resize(n * kd);
+    ws.designFeat.resize(n * kDesignFeatures);
+    ws.scaled.resize(n * kDesignFeatures);
     ws.route.resize(n);
     ws.dupReg.resize(n);
     ws.unavail.resize(n);
-    for (size_t p = 0; p < n; ++p) {
-        const Resources& raw = ws.raw[p];
-        double* df = &ws.designFeat[p * kd];
-        df[0] = std::log2(1.0 + raw.lutsPack);
-        df[1] = std::log2(1.0 + raw.lutsNoPack);
-        df[2] = std::log2(1.0 + raw.regs);
-        df[3] = std::log2(1.0 + raw.dsps);
-        df[4] = std::log2(1.0 + raw.brams);
-        df[5] = bp.log2n_;
-        df[6] = bp.nCtrl_;
-        df[7] = bp.nMem_;
-        df[8] = bp.nXfer_;
-        df[9] = bp.bitsOverN_;
-        df[10] = raw.totalLuts() / bp.lutsDenom_;
-    }
+    for (size_t p = 0; p < n; ++p)
+        designRowInto(bp.design_, ws.raw[p],
+                      &ws.designFeat[p * kDesignFeatures]);
     featScaler_.transformBatch(ws.designFeat.data(), n,
                                ws.scaled.data());
     routeNet_.forwardBatch(ws.scaled.data(), n, ws.route.data(),

@@ -63,13 +63,29 @@ struct AreaWorkspace {
     ml::MlpWorkspace mlp;           //!< MLP ping-pong scratch
 };
 
+/** Number of ANN design features per design (Section IV-B2). */
+inline constexpr size_t kDesignFeatures = 11;
+
+/**
+ * The binding-invariant inputs of the ANN design features: five
+ * features fixed by the design's templates, plus the device LUT
+ * capacity the LUT-ratio feature divides by. Only the raw resource
+ * totals vary per point.
+ */
+struct DesignInvariants {
+    double log2n = 0;     //!< log2(1 + template count)
+    double nCtrl = 0;     //!< control-template count
+    double nMem = 0;      //!< on-chip memory template count
+    double nXfer = 0;     //!< tile-transfer template count
+    double bitsOverN = 0; //!< mean template bit width
+    double lutsDenom = 1; //!< device LUT capacity (ratio feature)
+};
+
 /**
  * Binding-invariant compilation of one design's area estimate: every
  * template slot's linear-model bundle resolved and packed into
- * contiguous weight rows, plus the seven ANN design features that do
- * not depend on the binding (template-kind counts and bit widths are
- * fixed by the plan; only the raw resource totals vary per point).
- * Built once per explored design, shared read-only by every worker.
+ * contiguous weight rows, plus the design's DesignInvariants. Built
+ * once per explored design, shared read-only by every worker.
  *
  * A CtrlSeqOrMeta slot toggles between SeqCtrl and MetaPipeCtrl per
  * binding, so it carries both kinds' bundles and the batch kernel
@@ -91,54 +107,24 @@ class AreaBatchPlan
 
     const DesignPlan* plan() const { return plan_; }
 
-    /**
-     * Fused patch+featurize recipe per slot, resolved from the slot's
-     * (patch, base kind) pair at plan build. Each recipe computes the
-     * slot kind's exact featuresInto() expressions straight from the
-     * bound instance — same value provenance, same conversions, same
-     * operation order — without materializing the TemplateInst copy
-     * the scalar path patches. Generic covers any unexpected combo by
-     * running the scalar patch+featurize per point.
-     */
-    enum class Recipe : uint8_t {
-        Prim,
-        LoadStore,
-        Bram,
-        Reg,
-        Queue,
-        Counter,
-        PipeCtrl,
-        Ctrl,          //!< Seq/Par/Meta via the static Ctrl patch.
-        CtrlSeqOrMeta, //!< Ctrl features + per-point bundle toggle.
-        Reduce,
-        DelayLine,
-        Tile,
-        Generic,
-    };
-
-  private:
-    friend class AreaEstimator;
-
     /** One slot's packed model bundle(s): weights laid out for a
-     *  single fused pass over the feature row. */
+     *  single fused pass over the feature row. Public for the batch
+     *  kernels in area_estimator.cc; only AreaEstimator builds them. */
     struct SlotKernel {
         const TemplateSlot* slot = nullptr;
         uint32_t nf = 0;    //!< feature count of the slot's kind
-        Recipe recipe = Recipe::Generic;
         bool dual = false;  //!< CtrlSeqOrMeta: [1] = MetaPipeCtrl
         /** [variant][lutsPack,lutsNoPack,regs,dsps,brams][feature] */
         double w[2][5][AreaModel::kMaxFeatures] = {};
         double b[2][5] = {};
     };
 
+  private:
+    friend class AreaEstimator;
+
     std::vector<SlotKernel> kernels_;
     const DesignPlan* plan_ = nullptr;
-    double nCtrl_ = 0;     //!< control-template count
-    double nMem_ = 0;      //!< on-chip memory template count
-    double nXfer_ = 0;     //!< tile-transfer template count
-    double log2n_ = 0;     //!< log2(1 + template count)
-    double bitsOverN_ = 0; //!< mean template bit width
-    double lutsDenom_ = 1; //!< device LUT capacity (ratio feature)
+    DesignInvariants design_;
     bool ok_ = false;
 };
 
@@ -193,10 +179,6 @@ class AreaEstimator
     AreaEstimate
     estimateList(const std::vector<TemplateInst>& ts) const;
 
-    /** estimateList with reusable feature scratch. */
-    AreaEstimate estimateList(const std::vector<TemplateInst>& ts,
-                              std::vector<double>& feat) const;
-
     /** estimateList with the full per-thread workspace (no allocs). */
     AreaEstimate estimateList(const std::vector<TemplateInst>& ts,
                               AreaWorkspace& ws) const;
@@ -212,7 +194,8 @@ class AreaEstimator
     /**
      * Estimate insts[0..n) — n bindings of the batch plan's design —
      * into out[0..n). Iterates slot-outer: each template slot is
-     * patched, featurized and costed across the whole batch before
+     * patched (patchTemplateFields), featurized (the same
+     * AreaModel::featuresOf) and costed across the whole batch before
      * moving to the next slot, which turns the per-point model
      * lookups into contiguous SIMD-friendly loops. Every per-point
      * arithmetic expression and accumulation order matches the scalar

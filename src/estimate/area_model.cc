@@ -1,8 +1,5 @@
 #include "estimate/area_model.hh"
 
-#include <cmath>
-
-#include "analysis/critical_path.hh"
 #include "ml/serialize.hh"
 
 namespace dhdl::est {
@@ -19,115 +16,14 @@ AreaModel::classKey(const TemplateInst& t)
     return k;
 }
 
-size_t
-AreaModel::featuresInto(const TemplateInst& t, double* out)
-{
-    double lanes = double(t.lanes);
-    double vec = double(std::max<int64_t>(1, t.vec));
-    double bits = double(t.bits);
-    double banks = double(std::max(1, t.banks));
-    double copies = lanes * (t.doubleBuf ? 2.0 : 1.0);
-
-    switch (t.tkind) {
-      case TemplateKind::PrimOp:
-        out[0] = lanes;
-        out[1] = lanes * bits;
-        out[2] = lanes * bits * bits / 64.0;
-        return 3;
-      case TemplateKind::LoadStore:
-        out[0] = lanes;
-        out[1] = lanes * bits;
-        out[2] = lanes * banks;
-        out[3] = lanes * bits * std::log2(std::max(1.0, banks));
-        return 4;
-      case TemplateKind::BramInst: {
-        // Physical block count is a deterministic function of the
-        // geometry; give it to the regression as a feature. Banks of
-        // 640 bits or less map to MLAB LUT-RAM, not M20K.
-        double depth = std::ceil(double(t.elems) / banks);
-        bool mlab = depth * bits <= 640.0;
-        double phys = mlab ? 0.0
-                           : std::max(std::ceil(depth * bits / 20480.0),
-                                      std::ceil(bits / 40.0)) *
-                                 banks * copies;
-        double mlab_bits = mlab ? depth * bits * banks * copies : 0.0;
-        out[0] = phys;
-        out[1] = mlab_bits;
-        out[2] = lanes;
-        out[3] = lanes * banks;
-        out[4] = lanes * bits * banks / 32.0;
-        out[5] = copies * bits * banks / 32.0;
-        return 6;
-      }
-      case TemplateKind::RegInst:
-        out[0] = copies * bits;
-        out[1] = lanes;
-        out[2] = lanes * bits;
-        return 3;
-      case TemplateKind::QueueInst:
-        out[0] = lanes * double(t.depth) * bits;
-        out[1] = lanes;
-        return 2;
-      case TemplateKind::CounterInst:
-        out[0] = lanes * double(t.ctrDims);
-        out[1] = lanes * vec;
-        out[2] = lanes;
-        return 3;
-      case TemplateKind::PipeCtrl:
-        out[0] = lanes;
-        out[1] = lanes * vec;
-        return 2;
-      case TemplateKind::SeqCtrl:
-      case TemplateKind::ParCtrl:
-      case TemplateKind::MetaPipeCtrl:
-        out[0] = lanes;
-        out[1] = lanes * double(t.stages);
-        out[2] = lanes * vec;
-        return 3;
-      case TemplateKind::TileTransfer: {
-        double width = bits * vec;
-        out[0] = lanes;
-        out[1] = lanes * width;
-        out[2] = lanes * std::log2(1.0 + double(t.tileElems));
-        out[3] = lanes * std::ceil(512.0 * width / 20480.0);
-        return 4;
-      }
-      case TemplateKind::ReduceTree:
-        out[0] = lanes * std::max(0.0, vec - 1.0);
-        out[1] = lanes * std::log2(1.0 + vec) * bits / 32.0;
-        out[2] = lanes;
-        return 3;
-      case TemplateKind::DelayLine: {
-        bool fifo = t.depth > kBramDelayThreshold;
-        double bits_total = t.delayBits * lanes;
-        out[0] = fifo ? 0.0 : bits_total;
-        out[1] = fifo ? std::ceil(t.delayBits / 20480.0) * lanes : 0.0;
-        out[2] = lanes;
-        return 3;
-      }
-    }
-    out[0] = lanes;
-    return 1;
-}
-
 void
 AreaModel::featuresInto(const TemplateInst& t, std::vector<double>& out)
 {
     // Range-assign from warm capacity allocates nothing per template;
-    // the raw overload holds the one copy of the feature expressions.
+    // featuresOf() holds the one copy of the feature expressions.
     double buf[kMaxFeatures];
     size_t n = featuresInto(t, buf);
     out.assign(buf, buf + n);
-}
-
-size_t
-AreaModel::featuresBatchInto(const TemplateInst* ts, size_t n,
-                             double* out)
-{
-    size_t nf = 0;
-    for (size_t i = 0; i < n; ++i)
-        nf = featuresInto(ts[i], out + i * kMaxFeatures);
-    return nf;
 }
 
 std::vector<double>
@@ -250,10 +146,17 @@ AreaModel::rawCount(const std::vector<TemplateInst>& ts) const
 void
 AreaModel::save(std::ostream& os) const
 {
+    // Key order, not hash order: re-saving a loaded model must
+    // reproduce the file byte for byte.
+    std::vector<uint64_t> keys;
+    keys.reserve(models_.size());
+    for (const auto& kv : models_)
+        keys.push_back(kv.first);
+    std::sort(keys.begin(), keys.end());
     os << "area_model " << models_.size() << " v1\n";
-    for (const auto& [key, ms] : models_) {
+    for (uint64_t key : keys) {
         os << "class " << key << "\n";
-        for (const auto& m : ms)
+        for (const auto& m : models_.at(key))
             ml::saveLinear(os, m);
     }
 }

@@ -78,17 +78,6 @@ PowerEstimator::estimateMw(const Inst& inst) const
     return estimateListMw(expandTemplates(inst));
 }
 
-void
-PowerEstimator::estimateBatchMw(const InstPool& insts, size_t n,
-                                double* out,
-                                std::vector<TemplateInst>& scratch) const
-{
-    for (size_t p = 0; p < n; ++p) {
-        expandTemplates(insts[p], scratch);
-        out[p] = estimateListMw(scratch);
-    }
-}
-
 const PowerEstimator&
 calibratedPowerEstimator()
 {

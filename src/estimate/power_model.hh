@@ -36,14 +36,6 @@ class PowerEstimator
     /** Estimated total power of a template list, mW. */
     double estimateListMw(const std::vector<TemplateInst>& ts) const;
 
-    /**
-     * Estimate insts[0..n) into out[0..n), reusing one template
-     * expansion scratch vector across the batch. Each point runs the
-     * exact estimateMw() arithmetic.
-     */
-    void estimateBatchMw(const InstPool& insts, size_t n, double* out,
-                         std::vector<TemplateInst>& scratch) const;
-
     /** Template-level dynamic power only (no clock tree/static). */
     double templateMw(const TemplateInst& t) const;
 

@@ -87,20 +87,6 @@ LinearModel::predict(const std::vector<double>& x) const
     return s;
 }
 
-void
-LinearModel::predictBatch(const double* xs, size_t n, size_t cols,
-                          double* out) const
-{
-    require(cols == w_.size(), "linear predict arity mismatch");
-    for (size_t p = 0; p < n; ++p) {
-        const double* x = xs + p * cols;
-        double s = b_;
-        for (size_t i = 0; i < cols; ++i)
-            s += w_[i] * x[i];
-        out[p] = s;
-    }
-}
-
 double
 LinearModel::predict1(double x) const
 {

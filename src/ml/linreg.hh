@@ -33,15 +33,6 @@ class LinearModel
     /** Predict a single-feature model without building a vector. */
     double predict1(double x) const;
 
-    /**
-     * Predict n row-major samples (n x cols) into `out`. The arity
-     * check runs once for the whole batch; every row then follows the
-     * exact predict() accumulation order, so batched prediction is
-     * bit-identical to n scalar calls.
-     */
-    void predictBatch(const double* xs, size_t n, size_t cols,
-                      double* out) const;
-
     const std::vector<double>& weights() const { return w_; }
     double bias() const { return b_; }
 

@@ -26,6 +26,17 @@ TEST(PersistTest, CalibrationRoundTripPreservesEstimates)
     }
 }
 
+TEST(PersistTest, ResaveIsByteIdentical)
+{
+    const AreaEstimator& orig = calibratedEstimator();
+    std::stringstream first;
+    orig.save(first);
+    AreaEstimator back(orig.device(), first);
+    std::stringstream second;
+    back.save(second);
+    EXPECT_EQ(first.str(), second.str());
+}
+
 TEST(PersistTest, AreaModelRoundTrip)
 {
     const AreaModel& m = calibratedEstimator().model();

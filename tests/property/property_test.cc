@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <set>
 
 #include "apps/apps.hh"
 #include "core/parser.hh"
 #include "core/printer.hh"
 #include "core/validate.hh"
 #include "dse/explorer.hh"
+#include "analysis/resources.hh"
 #include "estimate/runtime_estimator.hh"
 #include "fpga/toolchain.hh"
 #include "ml/rng.hh"
@@ -203,13 +207,14 @@ TEST_P(ToggleProperty, OverlapNeverHurtsRuntime)
 
 /**
  * Randomized builder graphs: nested controllers, mixed datatypes,
- * reductions and tile transfers chosen by a seeded Rng. Every graph
- * the builder can produce must survive print -> parse -> print
- * unchanged.
+ * reductions and tile transfers chosen by a seeded Rng, plus a
+ * priority queue in every third seed. Every graph the builder can
+ * produce must survive print -> parse -> print unchanged, and
+ * evaluate identically batched and point at a time.
  */
 class RoundTripProperty : public ::testing::TestWithParam<int>
 {
-  protected:
+  public:
     static DType
     randomType(ml::Rng& rng)
     {
@@ -312,6 +317,16 @@ class RoundTripProperty : public ::testing::TestWithParam<int>
                         m.bram("tile", DType::f32(), {Sym::p(ts)});
                     m.tileLoad(a, tile, {iv[0]}, {Sym::p(ts)});
                     randomBody(m, rng, tile, ts, 0);
+                    if (seed % 3 == 0) { // Top-K priority queue.
+                        Mem q = m.queue("pq", DType::f32(), Sym::c(16));
+                        m.pipe("PQ", {ctr(Sym::p(ts))}, Sym::c(1),
+                               [&](Scope& p, std::vector<Val> ii) {
+                                   p.store(q,
+                                           {p.constant(0.0,
+                                                       DType::i32())},
+                                           p.load(tile, {ii[0]}));
+                               });
+                    }
                 });
         });
         return d;
@@ -334,6 +349,125 @@ TEST_P(RoundTripProperty, RandomGraphsRoundTripByteIdentical)
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(emitIR(*again.graph), first);
     EXPECT_TRUE(validate(*again.graph).empty());
+}
+
+/** Bitwise double equality: -0.0 != +0.0, NaNs compare by payload. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** A point's cycle count and every area field. */
+std::array<double, 15>
+fieldsOf(const dse::DesignPoint& p)
+{
+    const est::AreaEstimate& a = p.area;
+    return {p.cycles,      a.raw.lutsPack, a.raw.lutsNoPack,
+            a.raw.regs,    a.raw.dsps,     a.raw.brams,
+            a.routeLuts,   a.dupRegs,      a.unavailLuts,
+            a.dupBrams,    a.alms,         a.luts,
+            a.regs,        a.dsps,         a.brams};
+}
+
+TEST_P(RoundTripProperty, BatchedEvaluationMatchesScalarBitForBit)
+{
+    Design d = randomDesign(uint64_t(GetParam()));
+    const Graph& g = d.graph();
+    const est::AreaEstimator& area = est::calibratedEstimator();
+    est::RuntimeEstimator rt;
+    dse::ExploreConfig cfg;
+    cfg.maxPoints = 100;
+    std::vector<dse::DesignPoint> ref;
+    for (ParamBinding& b : dse::sampleGlobal(dse::ParamSpace(g), cfg)) {
+        ref.emplace_back();
+        ref.back().binding = std::move(b);
+    }
+    ASSERT_FALSE(ref.empty());
+    const std::vector<dse::DesignPoint> fresh = ref;
+
+    // The batched kernels must actually run: a plan with an
+    // uncharacterized template class falls back to the scalar path.
+    dse::Evaluator scalar(area, rt, g);
+    ASSERT_TRUE(scalar.plan());
+    ASSERT_TRUE(area.makeBatchPlan(*scalar.plan()).ok());
+    size_t evaluated = 0;
+    for (size_t i = 0; i < ref.size(); ++i) {
+        scalar.evaluatePoint(ref[i], i);
+        evaluated += ref[i].evaluated ? 1 : 0;
+    }
+    ASSERT_GT(evaluated, 0u);
+
+    std::vector<size_t> idxs(ref.size());
+    for (size_t i = 0; i < idxs.size(); ++i)
+        idxs[i] = i;
+    for (size_t chunk : {size_t(1), size_t(7), size_t(64)}) {
+        std::vector<dse::DesignPoint> got = fresh;
+        dse::Evaluator ev(area, rt, g);
+        DiagSink sink;
+        for (size_t lo = 0; lo < idxs.size(); lo += chunk)
+            ev.evaluateBatch(got, &idxs[lo],
+                             std::min(chunk, idxs.size() - lo), nullptr,
+                             sink);
+        for (size_t i = 0; i < ref.size(); ++i) {
+            const dse::DesignPoint& a = ref[i];
+            const dse::DesignPoint& b = got[i];
+            const std::string at = "chunk " + std::to_string(chunk) +
+                                   " point " + std::to_string(i);
+            EXPECT_EQ(a.evaluated, b.evaluated) << at;
+            EXPECT_EQ(a.failed, b.failed) << at;
+            EXPECT_EQ(a.valid, b.valid) << at;
+            const auto fa = fieldsOf(a), fb = fieldsOf(b);
+            for (size_t f = 0; f < fa.size(); ++f)
+                EXPECT_TRUE(sameBits(fa[f], fb[f]))
+                    << at << " field " << f << ": " << fa[f] << " vs "
+                    << fb[f];
+        }
+    }
+}
+
+/**
+ * The batched area estimator featurizes every slot through
+ * patchTemplateFields + AreaModel::featuresOf. The app registry,
+ * conv2d and the random designs must between them produce every
+ * (patch, base kind) pair the plan compiler emits, so the batch
+ * equivalence suites exercise that single path on every kind.
+ */
+TEST(SlotCoverage, AppsAndRandomDesignsCoverEveryPatchKindPair)
+{
+    std::set<std::pair<SlotPatch, TemplateKind>> seen;
+    auto add = [&seen](const Design& d) {
+        DesignPlan plan(d.graph());
+        for (const TemplateSlot& s : plan.templateSlots())
+            seen.insert({s.patch, s.base.tkind});
+    };
+    for (const auto& app : apps::allApps())
+        add(app.build(0.5));
+    add(apps::buildConv2d());
+    for (int seed = 1; seed < 13; ++seed)
+        add(RoundTripProperty::randomDesign(uint64_t(seed)));
+
+    using P = SlotPatch;
+    using K = TemplateKind;
+    const std::pair<SlotPatch, TemplateKind> want[] = {
+        {P::Prim, K::PrimOp},
+        {P::LoadStore, K::LoadStore},
+        {P::Bram, K::BramInst},
+        {P::Reg, K::RegInst},
+        {P::Queue, K::QueueInst},
+        {P::Counter, K::CounterInst},
+        {P::Ctrl, K::PipeCtrl},
+        {P::Ctrl, K::SeqCtrl},
+        {P::Ctrl, K::ParCtrl},
+        {P::CtrlSeqOrMeta, K::SeqCtrl},
+        {P::Reduce, K::ReduceTree},
+        {P::DelayLine, K::DelayLine},
+        {P::Tile, K::TileTransfer},
+    };
+    for (const auto& [patch, kind] : want)
+        EXPECT_TRUE(seen.count({patch, kind}))
+            << "no slot with patch " << int(patch) << " and kind "
+            << templateKindName(kind);
 }
 
 /** Divisor property over many integers. */

@@ -86,6 +86,7 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,6 +146,8 @@ struct Args {
     bool follow = false;   //!< Stream round events on submit.
     bool wait = false;     //!< Block in `result` until finished.
     bool version = false;  //!< Print version + protocol and exit.
+    /** Each flag's operand exactly as typed (last one wins). */
+    std::map<std::string, std::string> typed;
 };
 
 /**
@@ -254,6 +257,7 @@ parse(int argc, char** argv, Args& args)
             if (i + 1 >= argc)
                 return false;
             v = argv[++i];
+            args.typed[def->name] = v;
         }
         if (!def->set(args, v))
             return false;
@@ -498,43 +502,19 @@ cmdSupervise(const Args& args)
         dse::SupervisorTask t;
         const std::string spec =
             std::to_string(s) + "/" + std::to_string(args.shards);
-        t.argv = {exe,
-                  "explore",
-                  args.benchmark,
-                  "--scale",
-                  std::to_string(args.scale),
-                  "--points",
-                  std::to_string(args.points),
-                  "--threads",
-                  std::to_string(args.threads),
-                  "--shard",
-                  spec,
-                  "--checkpoint",
-                  args.checkpoint,
-                  "--resume"};
-        if (args.seed >= 0) {
-            t.argv.push_back("--seed");
-            t.argv.push_back(std::to_string(args.seed));
-        }
-        if (args.checkpointEvery > 0) {
-            t.argv.push_back("--checkpoint-every");
-            t.argv.push_back(std::to_string(args.checkpointEvery));
-        }
-        if (args.timeBudget > 0) {
-            t.argv.push_back("--time-budget");
-            t.argv.push_back(std::to_string(args.timeBudget));
-        }
-        if (!args.strategy.empty()) {
-            t.argv.push_back("--strategy");
-            t.argv.push_back(args.strategy);
-        }
-        if (args.initialPoints > 0) {
-            t.argv.push_back("--initial-points");
-            t.argv.push_back(std::to_string(args.initialPoints));
-        }
-        if (args.maxRounds > 0) {
-            t.argv.push_back("--max-rounds");
-            t.argv.push_back(std::to_string(args.maxRounds));
+        t.argv = {exe, "explore", args.benchmark, "--shard", spec,
+                  "--checkpoint", args.checkpoint, "--resume"};
+        // Forward operands verbatim: re-rendering a parsed double
+        // (e.g. --scale 0.0010256406 as "0.001026") would hand the
+        // children a different design.
+        for (const char* f :
+             {"--scale", "--points", "--threads", "--seed",
+              "--checkpoint-every", "--time-budget", "--strategy",
+              "--initial-points", "--max-rounds"}) {
+            if (auto it = args.typed.find(f); it != args.typed.end()) {
+                t.argv.push_back(f);
+                t.argv.push_back(it->second);
+            }
         }
         t.logPath = dse::shardCheckpointPath(args.checkpoint, s,
                                              args.shards) +

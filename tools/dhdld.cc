@@ -18,9 +18,9 @@
  * enables span/metric recording inside jobs.
  */
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -40,6 +40,19 @@ onSignal(int)
 {
     if (gServer)
         gServer->requestStop();
+}
+
+/**
+ * Parse the whole operand as a number: "80x", "x" and (for unsigned
+ * fields) "-1" are usage errors, not 80, 0 and SIZE_MAX.
+ */
+template <class T>
+bool
+parseWhole(const char* v, T& out)
+{
+    const char* end = v + std::strlen(v);
+    auto [p, ec] = std::from_chars(v, end, out);
+    return ec == std::errc() && p == end;
 }
 
 int
@@ -72,25 +85,28 @@ main(int argc, char** argv)
         if (i + 1 >= argc)
             return usage();
         const char* v = argv[++i];
+        bool ok = true;
         if (flag == "--port")
-            cfg.port = std::atoi(v);
+            ok = parseWhole(v, cfg.port);
         else if (flag == "--port-file")
             portFile = v;
         else if (flag == "--executors")
-            cfg.executors = std::atoi(v);
+            ok = parseWhole(v, cfg.executors);
         else if (flag == "--threads")
-            cfg.jobThreads = std::atoi(v);
+            ok = parseWhole(v, cfg.jobThreads);
         else if (flag == "--cache-size")
-            cfg.cacheCapacity = size_t(std::atoll(v));
+            ok = parseWhole(v, cfg.cacheCapacity);
         else if (flag == "--max-queue")
-            cfg.maxQueue = std::atoi(v);
+            ok = parseWhole(v, cfg.maxQueue);
         else if (flag == "--tenant-jobs")
-            cfg.tenantMaxJobs = std::atoi(v);
+            ok = parseWhole(v, cfg.tenantMaxJobs);
         else if (flag == "--tenant-eval-budget")
-            cfg.tenantEvalBudget = std::atoll(v);
+            ok = parseWhole(v, cfg.tenantEvalBudget);
         else if (flag == "--max-points")
-            cfg.maxPointsPerJob = std::atoi(v);
+            ok = parseWhole(v, cfg.maxPointsPerJob);
         else
+            ok = false;
+        if (!ok)
             return usage();
     }
 
