@@ -14,10 +14,12 @@
 #define DHDL_APPS_APPS_HH
 
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "apps/datasets.hh"
 #include "core/builder.hh"
+#include "core/passes.hh"
 
 namespace dhdl::apps {
 
@@ -97,11 +99,41 @@ Design buildApp(const std::string& name, double scale = 1.0);
  *  rather than an app name? */
 bool isIRPath(const std::string& nameOrPath);
 
+/** Where loadDesign() reads a design from; the caller names it. */
+enum class DesignSource : uint8_t {
+    Name,   //!< A registry name, built by buildApp() at the scale.
+    Path,   //!< A `.dhdl` file, parsed from disk.
+    IRText, //!< `.dhdl` text already in memory.
+};
+
+/** A design read by loadDesign(), with what the passes found. */
+struct LoadedDesign {
+    /** The build, parse or pass diagnostic; ok when all succeeded. */
+    Status status;
+    /** Engaged once the design built or parsed, even when a pass
+     *  then failed. */
+    std::optional<Graph> graph;
+    PassArtifacts art;
+    /** Every diagnostic the pass pipeline reported. */
+    std::vector<Diag> diags;
+
+    bool ok() const { return status.ok(); }
+};
+
 /**
- * Uniform graph front door for the whole toolchain: an isIRPath()
- * name is parsed from disk (core/parser), anything else is built
- * by buildApp(). Parse failures throw FatalError carrying the parse
- * diagnostic, so callers treat files and names identically.
+ * The one design loader of dhdlc and dhdld: read `what` as `src`
+ * says, then run standardPasses() on it. A bad name, a parse error
+ * or a failed pass comes back in `status`, never as a throw. Only
+ * DesignSource::Path opens a file, so the daemon, which never
+ * passes it, never opens a path it was sent.
+ */
+LoadedDesign loadDesign(DesignSource src, const std::string& what,
+                        double scale = 1.0);
+
+/**
+ * The graph alone, without the passes: an isIRPath() name is parsed
+ * from disk, anything else is built by buildApp(). A build or parse
+ * failure throws FatalError carrying the rendered diagnostic.
  */
 Graph loadGraph(const std::string& nameOrPath, double scale = 1.0);
 

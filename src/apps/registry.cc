@@ -93,17 +93,54 @@ isIRPath(const std::string& nameOrPath)
                               suffix.size(), suffix) == 0;
 }
 
+namespace {
+
+/** Build or parse `what`; the Status carries the failure's diag. */
+Status
+readGraph(DesignSource src, const std::string& what, double scale,
+          std::optional<Graph>& g)
+{
+    if (src == DesignSource::Name) {
+        try {
+            g.emplace(std::move(buildApp(what, scale).graph()));
+            return Status();
+        } catch (...) {
+            return Status::error(diagFromCurrentException("load"));
+        }
+    }
+    ParseResult pr = src == DesignSource::Path ? parseIRFile(what)
+                                               : parseIR(what);
+    g = std::move(pr.graph);
+    return pr.status;
+}
+
+} // namespace
+
+LoadedDesign
+loadDesign(DesignSource src, const std::string& what, double scale)
+{
+    LoadedDesign out;
+    out.status = readGraph(src, what, scale, out.graph);
+    if (!out.ok())
+        return out;
+    DiagSink sink;
+    PassContext ctx(sink);
+    out.status = standardPasses().run(*out.graph, ctx);
+    out.art = std::move(ctx.art);
+    out.diags = sink.drain();
+    return out;
+}
+
 Graph
 loadGraph(const std::string& nameOrPath, double scale)
 {
-    if (isIRPath(nameOrPath)) {
-        ParseResult res = parseIRFile(nameOrPath);
-        if (!res.ok())
-            fatal(res.status.diag().str(), DiagCode::ParseError);
-        return std::move(*res.graph);
-    }
-    Design d = buildApp(nameOrPath, scale);
-    return std::move(d.graph());
+    std::optional<Graph> g;
+    Status st = readGraph(isIRPath(nameOrPath) ? DesignSource::Path
+                                               : DesignSource::Name,
+                          nameOrPath, scale, g);
+    if (!st.ok())
+        fatal(st.diag().str(), st.diag().code);
+    return std::move(*g);
 }
 
 } // namespace dhdl::apps

@@ -54,6 +54,18 @@ struct Diag {
 
     /** One-line human-readable rendering. */
     std::string str() const;
+
+    /** A warning with just a code, a stage and a message. */
+    static Diag
+    warning(DiagCode code, std::string stage, std::string message)
+    {
+        Diag d;
+        d.code = code;
+        d.severity = DiagSeverity::Warning;
+        d.stage = std::move(stage);
+        d.message = std::move(message);
+        return d;
+    }
 };
 
 /**
@@ -73,6 +85,17 @@ class Status
         s.ok_ = false;
         s.diag_ = std::move(d);
         return s;
+    }
+
+    /** An error with just a code, a stage and a message. */
+    static Status
+    error(DiagCode code, std::string stage, std::string message)
+    {
+        Diag d;
+        d.code = code;
+        d.stage = std::move(stage);
+        d.message = std::move(message);
+        return error(std::move(d));
     }
 
     bool ok() const { return ok_; }

@@ -316,29 +316,19 @@ class Parser
             finalValidate();
             out.graph = std::move(graph_);
         } catch (const ParseFail& f) {
-            out.status = Status::error(makeDiag(f.message));
+            out.status =
+                Status::error(DiagCode::ParseError, "parse", f.message);
             out.graph.reset();
         } catch (const std::exception& e) {
             out.status = Status::error(
-                makeDiag(std::string("internal parse failure: ") +
-                         e.what()));
+                DiagCode::ParseError, "parse",
+                std::string("internal parse failure: ") + e.what());
             out.graph.reset();
         }
         return out;
     }
 
   private:
-    static Diag
-    makeDiag(std::string message)
-    {
-        Diag d;
-        d.code = DiagCode::ParseError;
-        d.severity = DiagSeverity::Error;
-        d.stage = "parse";
-        d.message = std::move(message);
-        return d;
-    }
-
     Graph&
     g()
     {
@@ -1009,11 +999,8 @@ parseIRFile(const std::string& path)
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         ParseResult out;
-        Diag d;
-        d.code = DiagCode::ParseError;
-        d.stage = "parse";
-        d.message = "cannot open '" + path + "'";
-        out.status = Status::error(std::move(d));
+        out.status = Status::error(DiagCode::ParseError, "parse",
+                                   "cannot open '" + path + "'");
         return out;
     }
     std::ostringstream ss;
@@ -1021,11 +1008,8 @@ parseIRFile(const std::string& path)
     std::string text = ss.str();
     if (in.bad()) {
         ParseResult out;
-        Diag d;
-        d.code = DiagCode::ParseError;
-        d.stage = "parse";
-        d.message = "read error on '" + path + "'";
-        out.status = Status::error(std::move(d));
+        out.status = Status::error(DiagCode::ParseError, "parse",
+                                   "read error on '" + path + "'");
         return out;
     }
     return parseIR(text);

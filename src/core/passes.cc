@@ -44,16 +44,11 @@ standardPasses()
         ctx.art.validationErrors = validate(g);
         if (ctx.art.validationErrors.empty())
             return Status();
-        Diag d;
-        d.code = DiagCode::UserError;
-        d.stage = "validate";
-        d.message = ctx.art.validationErrors.front();
-        if (ctx.art.validationErrors.size() > 1) {
-            d.message += " (+" +
-                std::to_string(ctx.art.validationErrors.size() - 1) +
-                " more)";
-        }
-        return Status::error(std::move(d));
+        const auto& errs = ctx.art.validationErrors;
+        std::string msg = errs.front();
+        if (errs.size() > 1)
+            msg += " (+" + std::to_string(errs.size() - 1) + " more)";
+        return Status::error(DiagCode::UserError, "validate", msg);
     });
     pm.add("fold-constants", [](const Graph& g, PassContext& ctx) {
         ctx.art.foldedConstants = foldConstants(g);

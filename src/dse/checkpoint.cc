@@ -199,12 +199,8 @@ injectFaults(std::string& content)
 Status
 mismatch(const std::string& path, const std::string& why)
 {
-    Diag d;
-    d.code = DiagCode::CheckpointMismatch;
-    d.severity = DiagSeverity::Error;
-    d.stage = "checkpoint";
-    d.message = "checkpoint '" + path + "' refused: " + why;
-    return Status::error(std::move(d));
+    return Status::error(DiagCode::CheckpointMismatch, "checkpoint",
+                         "checkpoint '" + path + "' refused: " + why);
 }
 
 } // namespace
@@ -362,23 +358,15 @@ loadCheckpointFile(const std::string& path, const Graph& g,
         }
     };
     auto warn = [&](const std::string& msg) {
-        Diag d;
-        d.code = DiagCode::CheckpointIo;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "checkpoint";
-        d.message = msg;
-        sink.report(d);
+        sink.report(
+            Diag::warning(DiagCode::CheckpointIo, "checkpoint", msg));
     };
 
     std::ifstream is(path, std::ios::binary);
     if (!is) {
         finish();
-        Diag d;
-        d.code = DiagCode::CheckpointIo;
-        d.severity = DiagSeverity::Error;
-        d.stage = "checkpoint";
-        d.message = "checkpoint '" + path + "' not found";
-        return Status::error(std::move(d));
+        return Status::error(DiagCode::CheckpointIo, "checkpoint",
+                             "checkpoint '" + path + "' not found");
     }
     // The whole file in one buffer; every line and field below is a
     // view into it.
@@ -551,7 +539,6 @@ loadCheckpointFile(const std::string& path, const Graph& g,
             // renderings cover restored points identically.
             Diag d;
             d.code = p.failCode;
-            d.severity = DiagSeverity::Error;
             d.stage = p.failStage.empty() ? "checkpoint"
                                           : p.failStage;
             d.message = p.failReason;

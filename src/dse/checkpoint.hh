@@ -87,7 +87,7 @@ CheckpointMeta makeCheckpointMeta(const Graph& g,
  * (`payload,crc32\n`) is cached, so a run of N points and W writes
  * renders N records rather than N·W. A cached line is never
  * re-rendered: an evaluated point must not change afterwards, which
- * SearchDriver guarantees (points only ever become evaluated).
+ * Explorer::explore guarantees (points only ever become evaluated).
  */
 class CheckpointWriter
 {

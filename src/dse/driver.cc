@@ -1,4 +1,29 @@
-#include "dse/driver.hh"
+/**
+ * @file
+ * The round-based search loop behind Explorer::explore(). One run
+ * owns the full evaluate/checkpoint/Pareto machinery; a pluggable
+ * SearchStrategy (dse/strategy.hh) decides only *which* candidates
+ * each round spends budget on.
+ *
+ * Per round r the loop:
+ *
+ *  1. asks the strategy to propose up to the remaining budget from
+ *     the pool (un-evaluated, in-shard candidates, ascending index);
+ *  2. evaluates the proposal — threaded, batched, in checkpoint
+ *     slices;
+ *  3. feeds the results back via observe(), folds valid points into
+ *     the incremental ParetoFront, and drops evaluated candidates
+ *     from the pool.
+ *
+ * The loop ends on an empty proposal, an exhausted budget, or an
+ * expired wall clock. With RandomStrategy (one round proposing the
+ * whole pool in sample order) every byte of the result — points,
+ * diagnostic order, Pareto front, checkpoint files — is the
+ * historical one-shot sweep's: the golden, shard-merge and
+ * batch-equivalence suites pin this.
+ */
+
+#include "dse/explorer.hh"
 
 #include <algorithm>
 #include <atomic>
@@ -14,18 +39,6 @@
 #include "obs/trace.hh"
 
 namespace dhdl::dse {
-
-const char*
-strategyName(StrategyKind k)
-{
-    switch (k) {
-    case StrategyKind::Surrogate:
-        return "surrogate";
-    case StrategyKind::Random:
-        break;
-    }
-    return "random";
-}
 
 namespace {
 
@@ -65,7 +78,7 @@ recordRound(const RoundStats& rs)
 } // namespace
 
 ExploreResult
-SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
+Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
 {
     const auto t0 = Clock::now();
     DHDL_OBS_SPAN("dse", "explore");
@@ -129,15 +142,12 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
     int64_t remaining = int64_t(pool.size());
     if (cfg.evalBudget > 0 && int64_t(pool.size()) > cfg.evalBudget) {
         res.stats.evalBudgetHit = true;
-        Diag d;
-        d.code = DiagCode::EvalBudgetExceeded;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "explore";
-        d.message = "evaluation budget of " +
-                    std::to_string(cfg.evalBudget) + " points leaves " +
-                    std::to_string(pool.size() - size_t(cfg.evalBudget)) +
-                    " un-evaluated";
-        sink.report(d);
+        sink.report(Diag::warning(
+            DiagCode::EvalBudgetExceeded, "explore",
+            "evaluation budget of " + std::to_string(cfg.evalBudget) +
+                " points leaves " +
+                std::to_string(pool.size() - size_t(cfg.evalBudget)) +
+                " un-evaluated"));
         remaining = cfg.evalBudget;
     }
 
@@ -267,13 +277,10 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
             cfg.onCheckpoint(res.points, written);
         if (!written && !ckFailed) {
             ckFailed = true;
-            Diag d;
-            d.code = DiagCode::CheckpointIo;
-            d.severity = DiagSeverity::Warning;
-            d.stage = "checkpoint";
-            d.message = "cannot write checkpoint '" +
-                        cfg.checkpointPath + "'";
-            sink.report(d);
+            sink.report(Diag::warning(DiagCode::CheckpointIo,
+                                      "checkpoint",
+                                      "cannot write checkpoint '" +
+                                          cfg.checkpointPath + "'"));
         }
     };
 
@@ -360,26 +367,18 @@ SearchDriver::run(const Graph& g, const ExploreConfig& cfg) const
         res.stats.total - res.stats.evaluated - res.stats.notInShard;
     if (outOfTime.load()) {
         res.stats.timeBudgetHit = true;
-        Diag d;
-        d.code = DiagCode::TimeBudgetExceeded;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "explore";
-        d.message = "wall-clock budget of " +
-                    std::to_string(cfg.timeBudgetSeconds) +
-                    "s expired; " + std::to_string(res.stats.skipped) +
-                    " point(s) skipped";
-        sink.report(d);
+        sink.report(Diag::warning(
+            DiagCode::TimeBudgetExceeded, "explore",
+            "wall-clock budget of " +
+                std::to_string(cfg.timeBudgetSeconds) + "s expired; " +
+                std::to_string(res.stats.skipped) + " point(s) skipped"));
     }
     if (cancelled.load()) {
         res.stats.cancelled = true;
-        Diag d;
-        d.code = DiagCode::Cancelled;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "explore";
-        d.message = "run cancelled; " +
-                    std::to_string(res.stats.skipped) +
-                    " point(s) skipped";
-        sink.report(d);
+        sink.report(Diag::warning(DiagCode::Cancelled, "explore",
+                                  "run cancelled; " +
+                                      std::to_string(res.stats.skipped) +
+                                      " point(s) skipped"));
     }
 
     // Deterministic diagnostic order regardless of thread count, then

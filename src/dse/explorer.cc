@@ -2,9 +2,32 @@
 
 #include <algorithm>
 
-#include "dse/driver.hh"
-
 namespace dhdl::dse {
+
+const char*
+strategyName(StrategyKind k)
+{
+    switch (k) {
+    case StrategyKind::Surrogate:
+        return "surrogate";
+    case StrategyKind::Random:
+        break;
+    }
+    return "random";
+}
+
+Status
+parseStrategy(std::string_view name, StrategyKind& out)
+{
+    for (StrategyKind k : {StrategyKind::Random, StrategyKind::Surrogate})
+        if (name == strategyName(k)) {
+            out = k;
+            return Status();
+        }
+    return Status::error(DiagCode::UserError, "config",
+                         "unknown strategy \"" + std::string(name) +
+                             "\" (random|surrogate)");
+}
 
 std::vector<ParamBinding>
 sampleGlobal(const ParamSpace& space, const ExploreConfig& cfg,
@@ -105,12 +128,6 @@ Explorer::evaluateGuarded(const Graph& g, DesignPoint& p) const
 {
     Evaluator ev(area_, runtime_, g);
     return ev.evaluatePoint(p, 0, nullptr);
-}
-
-ExploreResult
-Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
-{
-    return SearchDriver(area_, runtime_).run(g, cfg);
 }
 
 } // namespace dhdl::dse

@@ -32,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/diag.hh"
 #include "dse/evaluator.hh"
@@ -52,8 +53,15 @@ enum class StrategyKind : uint8_t {
     Surrogate,
 };
 
-/** Stable CLI/checkpoint name of a strategy ("random", ...). */
+/** Stable CLI/checkpoint/wire name of a strategy ("random", ...). */
 const char* strategyName(StrategyKind k);
+
+/**
+ * The inverse of strategyName(): the one parser of strategy names
+ * (dhdlc's --strategy and the serving config both use it). An unknown
+ * name is a UserError naming the choices.
+ */
+Status parseStrategy(std::string_view name, StrategyKind& out);
 
 /** Knobs of the surrogate strategy (ignored by Random). */
 struct SurrogateConfig {
@@ -280,7 +288,10 @@ class Explorer
      */
     Status evaluateGuarded(const Graph& g, DesignPoint& p) const;
 
-    /** Sample and evaluate the design space of a graph. */
+    /**
+     * Sample and evaluate the design space of a graph: the round-based
+     * search loop of dse/driver.cc.
+     */
     ExploreResult explore(const Graph& g,
                           const ExploreConfig& cfg = {}) const;
 

@@ -10,12 +10,8 @@ Status
 parseShard(const std::string& text, ShardSpec& out)
 {
     auto bad = [&](const std::string& why) {
-        Diag d;
-        d.code = DiagCode::UserError;
-        d.severity = DiagSeverity::Error;
-        d.stage = "cli";
-        d.message = "bad shard spec '" + text + "': " + why;
-        return Status::error(std::move(d));
+        return Status::error(DiagCode::UserError, "cli",
+                             "bad shard spec '" + text + "': " + why);
     };
 
     const size_t slash = text.find('/');
@@ -89,14 +85,11 @@ mergeShards(const Graph& g, const ExploreConfig& cfg, int shardCount,
         // instead of aborting. The shard's points remain un-evaluated
         // and a later supervisor pass (or manual re-run) fills them.
         out.missingShards.push_back(s);
-        Diag d;
-        d.code = DiagCode::ShardFailed;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "merge";
-        d.message = "shard " + std::to_string(s) + "/" +
-                    std::to_string(shardCount) +
-                    " missing from merge: " + st.diag().message;
-        sink.report(std::move(d));
+        sink.report(Diag::warning(
+            DiagCode::ShardFailed, "merge",
+            "shard " + std::to_string(s) + "/" +
+                std::to_string(shardCount) +
+                " missing from merge: " + st.diag().message));
         obs::addCounter("dse.merge.missing_shards", 1);
     }
 

@@ -430,16 +430,12 @@ ParamSpace::sample(int n, uint64_t seed, DiagSink* sink) const
         // The shortfall used to be a bench-only footnote
         // (blackscholes: 708 legal < 2000 requested); every sweep now
         // reports it structurally.
-        Diag d;
-        d.code = DiagCode::SamplingShortfall;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "sample";
-        d.message = "sampling shortfall: drew " +
-                    std::to_string(out.size()) + " of " +
-                    std::to_string(n) +
-                    " requested point(s); the legal space is smaller "
-                    "or too sparse";
-        sink->report(d);
+        sink->report(Diag::warning(
+            DiagCode::SamplingShortfall, "sample",
+            "sampling shortfall: drew " + std::to_string(out.size()) +
+                " of " + std::to_string(n) +
+                " requested point(s); the legal space is smaller or "
+                "too sparse"));
     }
     return out;
 }

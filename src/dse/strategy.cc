@@ -65,22 +65,15 @@ void
 SurrogateStrategy::loadModel(const std::string& path, DiagSink& sink)
 {
     auto warn = [&](const std::string& msg) {
-        Diag d;
-        d.code = DiagCode::ParseError;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "surrogate";
-        d.message = "surrogate model '" + path + "' ignored: " + msg;
-        sink.report(d);
+        sink.report(Diag::warning(DiagCode::ParseError, "surrogate",
+                                  "surrogate model '" + path +
+                                      "' ignored: " + msg));
     };
     std::ifstream is(path, std::ios::binary);
     if (!is) {
-        Diag d;
-        d.code = DiagCode::CheckpointIo;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "surrogate";
-        d.message =
-            "surrogate model '" + path + "' not found; training fresh";
-        sink.report(d);
+        sink.report(Diag::warning(DiagCode::CheckpointIo, "surrogate",
+                                  "surrogate model '" + path +
+                                      "' not found; training fresh"));
         return;
     }
     ml::SurrogateBundle b;
@@ -592,12 +585,7 @@ SurrogateStrategy::finish(DiagSink& sink)
         train(rs);
     }
     auto warn = [&](DiagCode code, const std::string& msg) {
-        Diag d;
-        d.code = code;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "surrogate";
-        d.message = msg;
-        sink.report(d);
+        sink.report(Diag::warning(code, "surrogate", msg));
     };
     if (!fitted_) {
         warn(DiagCode::UserError,

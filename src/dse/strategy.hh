@@ -1,10 +1,10 @@
 /**
  * @file
- * Pluggable search strategies for the round-based exploration driver
- * (dse/driver.hh). A strategy decides *which* candidates of the
- * global sample set to spend evaluation budget on; the driver owns
- * everything else (evaluation, checkpointing, budgets, the
- * incremental Pareto front).
+ * Pluggable search strategies for the round-based exploration loop
+ * (Explorer::explore, dse/driver.cc). A strategy decides *which*
+ * candidates of the global sample set to spend evaluation budget on;
+ * the driver owns everything else (evaluation, checkpointing,
+ * budgets, the incremental Pareto front).
  *
  * Contract per round r:
  *

@@ -160,12 +160,8 @@ runSupervised(const std::vector<SupervisorTask>& tasks,
         o.detail = label(i) + " failed permanently (" + how +
                    ") after " + std::to_string(o.attempts) +
                    " attempt(s)";
-        Diag d;
-        d.code = DiagCode::ShardFailed;
-        d.severity = DiagSeverity::Warning;
-        d.stage = "supervise";
-        d.message = o.detail;
-        res.diags.push_back(std::move(d));
+        res.diags.push_back(
+            Diag::warning(DiagCode::ShardFailed, "supervise", o.detail));
         obs::addCounter("dse.supervisor.failures", 1);
         s.phase = TaskState::Phase::Done;
         ++done;

@@ -180,17 +180,11 @@ tryLoad(std::istream& is, Out& out, Load load, const char* what)
         out = load(is);
         return {};
     } catch (const FatalError& e) {
-        Diag d;
-        d.code = e.code();
-        d.stage = "model-load";
-        d.message = std::string(what) + ": " + e.what();
-        return Status::error(std::move(d));
+        return Status::error(e.code(), "model-load",
+                             std::string(what) + ": " + e.what());
     } catch (const std::exception& e) {
-        Diag d;
-        d.code = DiagCode::ParseError;
-        d.stage = "model-load";
-        d.message = std::string(what) + ": " + e.what();
-        return Status::error(std::move(d));
+        return Status::error(DiagCode::ParseError, "model-load",
+                             std::string(what) + ": " + e.what());
     }
 }
 

@@ -15,14 +15,10 @@ namespace dhdl::serve {
 namespace {
 
 Status
-transportError(std::string message)
+clientError(std::string message,
+            DiagCode code = DiagCode::UserError)
 {
-    Diag d;
-    d.code = DiagCode::UserError;
-    d.severity = DiagSeverity::Error;
-    d.stage = "client";
-    d.message = std::move(message);
-    return Status::error(d);
+    return Status::error(code, "client", std::move(message));
 }
 
 } // namespace
@@ -56,24 +52,24 @@ Client::connect(const std::string& address)
     char* end = nullptr;
     long port = std::strtol(portStr.c_str(), &end, 10);
     if (portStr.empty() || *end != '\0' || port <= 0 || port > 65535)
-        return transportError("bad server address \"" + address +
+        return clientError("bad server address \"" + address +
                               "\" (want host:port)");
 
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
-        return transportError(std::string("socket: ") +
+        return clientError(std::string("socket: ") +
                               std::strerror(errno));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(uint16_t(port));
     if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
         ::close(fd);
-        return transportError("bad host \"" + host +
+        return clientError("bad host \"" + host +
                               "\" (want an IPv4 address)");
     }
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
                   sizeof addr) < 0) {
-        Status st = transportError("connect to " + address + ": " +
+        Status st = clientError("connect to " + address + ": " +
                                    std::strerror(errno));
         ::close(fd);
         return st;
@@ -94,42 +90,16 @@ Status
 Client::sendLine(const std::string& raw)
 {
     if (fd_ < 0)
-        return transportError("not connected");
-    std::string line = raw;
-    line += '\n';
-    size_t off = 0;
-    while (off < line.size()) {
-        ssize_t n = ::send(fd_, line.data() + off, line.size() - off,
-                           MSG_NOSIGNAL);
-        if (n <= 0)
-            return transportError(std::string("send: ") +
-                                  std::strerror(errno));
-        off += size_t(n);
-    }
-    return Status();
+        return clientError("not connected");
+    return writeLine(fd_, raw);
 }
 
 Status
 Client::recvLine(std::string& out)
 {
     if (fd_ < 0)
-        return transportError("not connected");
-    while (true) {
-        size_t nl = buf_.find('\n');
-        if (nl != std::string::npos) {
-            out = buf_.substr(0, nl);
-            buf_.erase(0, nl + 1);
-            return Status();
-        }
-        char chunk[16384];
-        ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-        if (n <= 0)
-            return transportError(
-                n == 0 ? "server closed the connection"
-                       : std::string("recv: ") +
-                             std::strerror(errno));
-        buf_.append(chunk, size_t(n));
-    }
+        return clientError("not connected");
+    return readLine(fd_, buf_, out);
 }
 
 Status
@@ -162,25 +132,15 @@ Client::hello(std::string* serverVersion)
         return st;
     const Json* ok = resp.find("ok");
     if (!ok || !ok->asBool()) {
-        Diag d;
-        d.code = DiagCode::VersionMismatch;
-        d.severity = DiagSeverity::Error;
-        d.stage = "client";
-        d.message = "handshake rejected";
-        if (const Json* e = resp.find("error"))
-            if (const Json* m = e->find("message"))
-                d.message = m->asString();
-        return Status::error(d);
+        const Json* e = resp.find("error");
+        const Json* m = e ? e->find("message") : nullptr;
+        return clientError(m ? m->asString() : "handshake rejected",
+                           DiagCode::VersionMismatch);
     }
     if (const Json* proto = resp.find("proto");
-        !proto || proto->asInt() != kProtocolVersion) {
-        Diag d;
-        d.code = DiagCode::VersionMismatch;
-        d.severity = DiagSeverity::Error;
-        d.stage = "client";
-        d.message = "server speaks a different protocol version";
-        return Status::error(d);
-    }
+        !proto || proto->asInt() != kProtocolVersion)
+        return clientError("server speaks a different protocol version",
+                           DiagCode::VersionMismatch);
     if (serverVersion) {
         *serverVersion = "unknown";
         if (const Json* v = resp.find("version"))

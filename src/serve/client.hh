@@ -11,6 +11,7 @@
 #define DHDL_SERVE_CLIENT_HH
 
 #include <string>
+#include <utility>
 
 #include "serve/protocol.hh"
 
@@ -25,18 +26,16 @@ class Client
     Client(const Client&) = delete;
     Client& operator=(const Client&) = delete;
     Client(Client&& other) noexcept
-        : fd_(other.fd_), buf_(std::move(other.buf_))
+        : fd_(std::exchange(other.fd_, -1)), buf_(std::move(other.buf_))
     {
-        other.fd_ = -1;
     }
     Client&
     operator=(Client&& other) noexcept
     {
         if (this != &other) {
             close();
-            fd_ = other.fd_;
+            fd_ = std::exchange(other.fd_, -1);
             buf_ = std::move(other.buf_);
-            other.fd_ = -1;
         }
         return *this;
     }
@@ -70,7 +69,8 @@ class Client
     /** Send arbitrary bytes + newline (tests: malformed requests). */
     Status sendLine(const std::string& raw);
 
-    /** Read the next protocol line into `out`; error on EOF. */
+    /** Read the next protocol line into `out` (serve::readLine():
+     *  capped, '\r' stripped); error on EOF. */
     Status recvLine(std::string& out);
 
     /** Read and parse the next line. */

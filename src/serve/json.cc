@@ -161,12 +161,9 @@ class Parser
     static Status
     fail(size_t at, const std::string& what)
     {
-        Diag d;
-        d.code = DiagCode::ParseError;
-        d.severity = DiagSeverity::Error;
-        d.stage = "json";
-        d.message = what + " (byte " + std::to_string(at) + ")";
-        return Status::error(std::move(d));
+        return Status::error(DiagCode::ParseError, "json",
+                             what + " (byte " + std::to_string(at) +
+                                 ")");
     }
 
     void

@@ -1,6 +1,11 @@
 #include "serve/protocol.hh"
 
+#include <sys/socket.h>
+
+#include <cerrno>
+#include <cstring>
 #include <ostream>
+#include <type_traits>
 
 #include "dse/evaluator.hh"
 
@@ -46,12 +51,7 @@ Json
 errorResponse(DiagCode code, const std::string& message,
               const std::string& stage)
 {
-    Diag d;
-    d.code = code;
-    d.severity = DiagSeverity::Error;
-    d.stage = stage;
-    d.message = message;
-    return errorResponse(d);
+    return errorResponse(Status::error(code, stage, message).diag());
 }
 
 Json
@@ -99,12 +99,196 @@ resultToJson(const Graph& g, const dse::ExploreResult& res)
             diags.push(diagToJson(d));
     }
 
+    Json failures = Json::array();
+    for (const auto& [reason, count] : res.failureSummary()) {
+        Json f = Json::object();
+        f.set("reason", reason);
+        f.set("count", count);
+        failures.push(std::move(f));
+    }
+
     Json j = Json::object();
     j.set("design", g.name());
     j.set("stats", std::move(stats));
     j.set("front", frontToJson(g, res.points, res.pareto));
     j.set("warnings", std::move(diags));
+    j.set("failures", std::move(failures));
     return j;
+}
+
+void
+renderSummary(const Json& result, std::ostream& os)
+{
+    const Json* stats = result.find("stats");
+    if (!stats)
+        return;
+    auto n = [&](const char* k) {
+        const Json* v = stats->find(k);
+        return v ? v->asInt() : 0;
+    };
+    auto on = [&](const char* k) {
+        const Json* v = stats->find(k);
+        return v && v->asBool();
+    };
+    os << n("sampled") << " points sampled";
+    if (on("shortfall"))
+        os << " (of " << n("requested")
+           << " requested; sampling shortfall)";
+    os << ", " << n("evaluated") << " evaluated";
+    if (n("resumed"))
+        os << " (" << n("resumed") << " from checkpoint)";
+    if (n("skipped")) {
+        os << ", " << n("skipped") << " un-evaluated";
+        if (on("time_budget_hit") || on("eval_budget_hit"))
+            os << " (" << (on("time_budget_hit") ? "time" : "eval")
+               << " budget)";
+    }
+    const Json* front = result.find("front");
+    os << ", " << n("failed") << " failed, " << n("valid")
+       << " valid, " << (front ? front->items().size() : 0)
+       << " Pareto-optimal\n";
+    const Json* failures = result.find("failures");
+    if (n("failed") && failures) {
+        os << "top failure reasons:\n";
+        for (const Json& f : failures->items())
+            os << "  " << f.find("count")->asInt() << "x "
+               << f.find("reason")->asString() << "\n";
+    }
+    if (const Json* warns = result.find("warnings")) {
+        for (const Json& w : warns->items()) {
+            // The inverse of diagToJson(), so the note reads exactly
+            // like the local Diag::str().
+            auto field = [&](const char* k) {
+                const Json* v = w.find(k);
+                return v ? v->asString() : std::string();
+            };
+            Diag d = Diag::warning(diagCodeFromName(field("code")),
+                                   field("stage"), field("message"));
+            d.context = field("context");
+            if (const Json* p = w.find("point"))
+                d.pointIndex = p->asInt();
+            os << "note: " << d.str() << "\n";
+        }
+    }
+}
+
+namespace {
+
+/**
+ * The config-key table: every wire key of a submit's "config" object
+ * with its ExploreConfig member, as an accessor that works on a const
+ * or mutable config. configToJson() and configFromJson() both walk
+ * it, so the two directions cannot disagree.
+ */
+template <class F>
+void
+forEachConfigKey(F&& f)
+{
+    f("points", [](auto& c) -> auto& { return c.maxPoints; });
+    f("seed", [](auto& c) -> auto& { return c.seed; });
+    f("threads", [](auto& c) -> auto& { return c.threads; });
+    f("eval_budget", [](auto& c) -> auto& { return c.evalBudget; });
+    f("time_budget",
+      [](auto& c) -> auto& { return c.timeBudgetSeconds; });
+    f("strategy", [](auto& c) -> auto& { return c.strategy; });
+    f("initial_points",
+      [](auto& c) -> auto& { return c.surrogate.initialPoints; });
+    f("max_rounds",
+      [](auto& c) -> auto& { return c.surrogate.maxRounds; });
+}
+
+} // namespace
+
+Json
+configToJson(const dse::ExploreConfig& cfg)
+{
+    const dse::ExploreConfig dflt;
+    Json j = Json::object();
+    forEachConfigKey([&](const char* key, auto member) {
+        const auto& v = member(cfg);
+        if (v == member(dflt))
+            return;
+        if constexpr (std::is_enum_v<std::decay_t<decltype(v)>>)
+            j.set(key, dse::strategyName(v));
+        else
+            j.set(key, v);
+    });
+    return j;
+}
+
+Status
+configFromJson(const Json& j, dse::ExploreConfig& cfg)
+{
+    Status st;
+    forEachConfigKey([&](const char* key, auto member) {
+        auto& v = member(cfg);
+        using T = std::decay_t<decltype(v)>;
+        const Json* w = j.find(key);
+        if (!w || !st.ok())
+            return;
+        if constexpr (std::is_enum_v<T>)
+            st = dse::parseStrategy(w->asString(), v);
+        else if constexpr (std::is_floating_point_v<T>)
+            v = w->asDouble(v);
+        else
+            v = T(w->asInt(int64_t(v)));
+    });
+    return st;
+}
+
+Status
+writeAll(int fd, std::string_view bytes)
+{
+    while (!bytes.empty()) {
+        const ssize_t n =
+            ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        if (n <= 0)
+            return Status::error(DiagCode::UserError, "transport",
+                                 std::string("send: ") +
+                                     std::strerror(errno));
+        bytes.remove_prefix(size_t(n));
+    }
+    return Status();
+}
+
+Status
+writeLine(int fd, std::string_view line)
+{
+    std::string out;
+    out.reserve(line.size() + 1);
+    out.append(line).push_back('\n');
+    return writeAll(fd, out);
+}
+
+Status
+readLine(int fd, std::string& buf, std::string& line)
+{
+    size_t scanned = 0; // buf[0, scanned) holds no newline.
+    while (true) {
+        const size_t nl = buf.find('\n', scanned);
+        const size_t end = nl == std::string::npos ? buf.size() : nl;
+        if (end > kMaxLineBytes)
+            return Status::error(DiagCode::UserError, "transport",
+                                 "line longer than " +
+                                     std::to_string(kMaxLineBytes >> 20) +
+                                     " MiB");
+        if (nl != std::string::npos) {
+            const size_t len =
+                nl > 0 && buf[nl - 1] == '\r' ? nl - 1 : nl;
+            line.assign(buf, 0, len);
+            buf.erase(0, nl + 1);
+            return Status();
+        }
+        scanned = buf.size();
+        char chunk[16384];
+        const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+        if (n <= 0)
+            return Status::error(DiagCode::UserError, "transport",
+                                 n == 0 ? "peer closed the connection"
+                                        : std::string("recv: ") +
+                                              std::strerror(errno));
+        buf.append(chunk, size_t(n));
+    }
 }
 
 Json

@@ -14,9 +14,12 @@
  *   {"op":"trace","job":N}                          per-job trace JSON
  *   {"op":"shutdown"}                               graceful drain
  *
- * A submit's "config" object takes the keys points, seed, threads,
- * eval_budget, time_budget, strategy, initial_points and max_rounds;
- * any other key is ignored.
+ * A submit's "config" object takes exactly the keys of the
+ * config-key table in protocol.cc, the one list of (wire key,
+ * dse::ExploreConfig member) pairs that configToJson() and
+ * configFromJson() both walk; any other key is ignored. A key left
+ * out means the ExploreConfig default, except threads, where it means
+ * the daemon's --threads.
  *
  * Responses are `{"ok":true,...}` or `{"ok":false,"error":{...}}`
  * where the error object is a rendered structured Diag — admission
@@ -30,12 +33,13 @@
  * Prometheus exposition-format response and the connection closes —
  * `curl http://127.0.0.1:PORT/metrics` works against a dhdld.
  *
- * This header also owns the compile-time version string and the
- * deterministic renderers (Pareto front, job result, per-job trace,
- * the obs metrics and process trace) shared by the server, dhdlc and
- * the byte-identity tests: a streamed front and an offline `dhdlc
- * explore` of the same seed/config render through the identical code
- * path, so equal results are equal bytes.
+ * This header also owns the version string, the line transport of
+ * both ends, and the deterministic renderers (Pareto front, job
+ * result and its summary, per-job trace, obs metrics and process
+ * trace) shared by the server, dhdlc and the byte-identity tests: a
+ * streamed result and an offline `dhdlc explore` of the same
+ * seed/config render through the identical code, so equal results
+ * are equal bytes and print the same summary.
  */
 
 #ifndef DHDL_SERVE_PROTOCOL_HH
@@ -43,6 +47,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "dse/explorer.hh"
 #include "obs/metrics.hh"
@@ -84,11 +89,53 @@ Json frontToJson(const Graph& g, const std::vector<dse::DesignPoint>& points,
 
 /**
  * Full job result: stats (sampled/requested with an explicit
- * shortfall marker, evaluated, failed, valid, cancelled, rounds),
- * the front via frontToJson(), and every warning diag. Wall-clock
+ * shortfall marker, evaluated, resumed, failed, valid, skipped, the
+ * budget and cancel flags, rounds), the front via frontToJson(),
+ * every warning diag, and failureSummary() as `failures`. Wall-clock
  * fields are excluded so equal explorations render equal bytes.
  */
 Json resultToJson(const Graph& g, const dse::ExploreResult& res);
+
+/**
+ * The human summary of a resultToJson() object, the one renderer of
+ * `dhdlc explore`/`merge`/`report` and `dhdlc submit --follow`: the
+ * sampled/evaluated/failed/valid/Pareto line with its shortfall,
+ * resume and budget notes, the top failure reasons, and a "note:"
+ * line per warning. The Pareto listing is not part of it.
+ */
+void renderSummary(const Json& result, std::ostream& os);
+
+/**
+ * A submit's "config" object: one member per config-key table entry
+ * whose value differs from a default dse::ExploreConfig.
+ */
+Json configToJson(const dse::ExploreConfig& cfg);
+
+/**
+ * Apply a "config" object to `cfg`: each table key present sets its
+ * member (a non-number where a number belongs keeps the current
+ * value); keys outside the table are ignored. An unknown strategy
+ * name is a UserError.
+ */
+Status configFromJson(const Json& j, dse::ExploreConfig& cfg);
+
+/** Longest line either end of the protocol accepts. */
+constexpr size_t kMaxLineBytes = size_t(64) << 20;
+
+/** Send all of `bytes` on socket `fd`; a gone peer is an error
+ *  Status, never a SIGPIPE. */
+Status writeAll(int fd, std::string_view bytes);
+
+/** Send one protocol line: `line` and its '\n'. */
+Status writeLine(int fd, std::string_view line);
+
+/**
+ * Read the next protocol line from socket `fd` into `line`, without
+ * its '\n' or a trailing '\r'. `buf` carries bytes read past the
+ * line to the next call. EOF, a recv error or a line longer than
+ * kMaxLineBytes is an error.
+ */
+Status readLine(int fd, std::string& buf, std::string& line);
 
 /**
  * Per-job Chrome-trace export built from ExploreStats: a

@@ -12,8 +12,6 @@
 #include <sstream>
 
 #include "apps/apps.hh"
-#include "core/parser.hh"
-#include "core/passes.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 
@@ -63,79 +61,6 @@ struct Server::Job {
     std::vector<std::string> events;
 };
 
-namespace {
-
-/** Write all bytes + newline; MSG_NOSIGNAL so a gone client is an
- *  error return, not a SIGPIPE. */
-bool
-writeLine(int fd, const std::string& line)
-{
-    std::string out = line;
-    out += '\n';
-    size_t off = 0;
-    while (off < out.size()) {
-        ssize_t n = ::send(fd, out.data() + off, out.size() - off,
-                           MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        off += size_t(n);
-    }
-    return true;
-}
-
-bool
-writeAll(int fd, const std::string& bytes)
-{
-    size_t off = 0;
-    while (off < bytes.size()) {
-        ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                           MSG_NOSIGNAL);
-        if (n <= 0)
-            return false;
-        off += size_t(n);
-    }
-    return true;
-}
-
-/** Pull one '\n'-terminated line out of buf/fd; false on EOF. A
- *  hostile peer can't balloon the buffer: lines are capped. */
-bool
-readLine(int fd, std::string& buf, std::string& line)
-{
-    constexpr size_t kMaxLine = 64u << 20;
-    while (true) {
-        size_t nl = buf.find('\n');
-        if (nl != std::string::npos) {
-            line = buf.substr(0, nl);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            buf.erase(0, nl + 1);
-            return true;
-        }
-        if (buf.size() > kMaxLine)
-            return false;
-        char chunk[16384];
-        ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-        if (n <= 0)
-            return false;
-        buf.append(chunk, size_t(n));
-    }
-}
-
-Diag
-makeDiag(DiagCode code, DiagSeverity sev, const std::string& stage,
-         std::string message)
-{
-    Diag d;
-    d.code = code;
-    d.severity = sev;
-    d.stage = stage;
-    d.message = std::move(message);
-    return d;
-}
-
-} // namespace
-
 Server::Server(const est::AreaEstimator& area,
                const est::RuntimeEstimator& runtime, ServerConfig cfg)
     : area_(area), runtime_(runtime), cfg_(std::move(cfg)),
@@ -156,9 +81,9 @@ Server::start()
 {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
-        return Status::error(makeDiag(
-            DiagCode::InternalError, DiagSeverity::Error, "serve",
-            std::string("socket: ") + std::strerror(errno)));
+        return Status::error(DiagCode::InternalError, "serve",
+                             std::string("socket: ") +
+                                 std::strerror(errno));
     int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
 
@@ -169,11 +94,10 @@ Server::start()
     if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
             0 ||
         ::listen(fd, 64) < 0) {
-        Status st = Status::error(makeDiag(
-            DiagCode::UserError, DiagSeverity::Error, "serve",
-            std::string("bind/listen on port ") +
-                std::to_string(cfg_.port) + ": " +
-                std::strerror(errno)));
+        Status st = Status::error(
+            DiagCode::UserError, "serve",
+            "bind/listen on port " + std::to_string(cfg_.port) + ": " +
+                std::strerror(errno));
         ::close(fd);
         return st;
     }
@@ -260,7 +184,7 @@ Server::session(int fd)
     std::string buf;
     while (true) {
         std::string line;
-        if (!readLine(fd, buf, line))
+        if (!readLine(fd, buf, line).ok())
             break;
         if (line.rfind("GET ", 0) == 0) {
             serveHttp(fd, line);
@@ -284,7 +208,7 @@ Server::session(int fd)
         } else {
             resp = dispatch(fd, req, closeAfter);
         }
-        if (!resp.isNull() && !writeLine(fd, resp.render()))
+        if (!resp.isNull() && !writeLine(fd, resp.render()).ok())
             break;
         if (closeAfter)
             break;
@@ -337,7 +261,7 @@ Server::dispatch(int fd, const Json& req, bool& closeAfter)
     }
     const std::string& name = op->asString();
     if (name == "hello")
-        return handleHello(req);
+        return handleHello();
     if (name == "submit")
         return handleSubmit(fd, req);
     if (name == "status")
@@ -367,9 +291,9 @@ Server::dispatch(int fd, const Json& req, bool& closeAfter)
 }
 
 Json
-Server::handleHello(const Json& req)
+Server::handleHello()
 {
-    (void)req; // proto skew already rejected in dispatch().
+    // Protocol skew was already rejected in dispatch().
     Json j = Json::object();
     j.set("ok", true);
     j.set("proto", kProtocolVersion);
@@ -412,35 +336,12 @@ Server::handleSubmit(int fd, const Json& req)
     // applied. Unknown strategy names and out-of-range sizes are
     // user errors, not crashes; unknown keys are ignored.
     dse::ExploreConfig ecfg;
-    ecfg.maxPoints = 2000;
     ecfg.threads = cfg_.jobThreads;
     if (const Json* c = req.find("config"); c && c->isObject()) {
-        if (const Json* v = c->find("points"))
-            ecfg.maxPoints = int(v->asInt(ecfg.maxPoints));
-        if (const Json* v = c->find("seed"))
-            ecfg.seed = uint64_t(v->asInt(int64_t(ecfg.seed)));
-        if (const Json* v = c->find("threads"))
-            ecfg.threads =
-                std::clamp(int(v->asInt(ecfg.threads)), 1, 16);
-        if (const Json* v = c->find("eval_budget"))
-            ecfg.evalBudget = v->asInt();
-        if (const Json* v = c->find("time_budget"))
-            ecfg.timeBudgetSeconds = v->asDouble();
-        if (const Json* v = c->find("initial_points"))
-            ecfg.surrogate.initialPoints = int(v->asInt());
-        if (const Json* v = c->find("max_rounds"))
-            ecfg.surrogate.maxRounds = int(v->asInt());
-        if (const Json* v = c->find("strategy")) {
-            const std::string& s = v->asString();
-            if (s == "random")
-                ecfg.strategy = dse::StrategyKind::Random;
-            else if (s == "surrogate")
-                ecfg.strategy = dse::StrategyKind::Surrogate;
-            else
-                return errorResponse(DiagCode::UserError,
-                                     "unknown strategy \"" + s +
-                                         "\" (random|surrogate)");
-        }
+        if (Status st = configFromJson(*c, ecfg); !st.ok())
+            return errorResponse(st.diag());
+        if (c->find("threads"))
+            ecfg.threads = std::clamp(ecfg.threads, 1, 16);
     }
     if (ecfg.maxPoints <= 0 || ecfg.maxPoints > cfg_.maxPointsPerJob)
         return errorResponse(
@@ -496,47 +397,31 @@ Server::handleSubmit(int fd, const Json& req)
         jobsCv_.notify_all();
     };
 
-    // Load the design: inline `.dhdl` text or a registry name. The
-    // standard pass pipeline runs on every load (exactly like dhdlc),
-    // so the cache keys canonical post-pass IR.
-    std::optional<Graph> g;
-    const double scale =
-        req.find("scale") ? req.find("scale")->asDouble(1.0) : 1.0;
-    if (const Json* ir = req.find("ir"); ir && ir->isString()) {
-        ParseResult pr = parseIR(ir->asString());
-        if (!pr.ok()) {
-            rollback();
-            return errorResponse(pr.status.diag());
-        }
-        g = std::move(*pr.graph);
-    } else if (const Json* d = req.find("design");
-               d && d->isString()) {
-        try {
-            Design design = apps::buildApp(d->asString(), scale);
-            g = std::move(design.graph());
-        } catch (const std::exception& e) {
-            rollback();
-            return errorResponse(DiagCode::UserError, e.what(),
-                                 "load");
-        }
-    } else {
+    // Load the design: inline `.dhdl` text or a registry name, never
+    // a path. The standard pass pipeline runs on every load (exactly
+    // like dhdlc), so the cache keys canonical post-pass IR.
+    const Json* ir = req.find("ir");
+    const Json* name = req.find("design");
+    if (!(ir && ir->isString()) && !(name && name->isString())) {
         rollback();
         return errorResponse(DiagCode::ParseError,
                              "submit needs \"design\" or \"ir\"");
     }
-    {
-        DiagSink psink;
-        PassContext ctx(psink);
-        PassManager pm = standardPasses();
-        Status st = pm.run(*g, ctx);
-        if (!st.ok()) {
-            rollback();
-            return errorResponse(st.diag());
-        }
+    const Json* scale = req.find("scale");
+    apps::LoadedDesign loaded =
+        ir && ir->isString()
+            ? apps::loadDesign(apps::DesignSource::IRText,
+                               ir->asString())
+            : apps::loadDesign(apps::DesignSource::Name,
+                               name->asString(),
+                               scale ? scale->asDouble(1.0) : 1.0);
+    if (!loaded.ok()) {
+        rollback();
+        return errorResponse(loaded.status.diag());
     }
 
     bool hit = false;
-    auto design = cache_.acquire(std::move(*g), &hit);
+    auto design = cache_.acquire(std::move(*loaded.graph), &hit);
 
     auto job = std::make_shared<Job>();
     job->tenant = tenant;
@@ -562,7 +447,7 @@ Server::handleSubmit(int fd, const Json& req)
 
     const Json* stream = req.find("stream");
     if (stream && stream->asBool()) {
-        if (!writeLine(fd, resp.render()))
+        if (!writeLine(fd, resp.render()).ok())
             return Json();
         streamEvents(fd, job);
         return Json(); // Everything already written.
@@ -688,7 +573,7 @@ Server::streamEvents(int fd, const std::shared_ptr<Job>& j)
         while (sent < j->events.size()) {
             std::string line = j->events[sent++];
             lk.unlock();
-            if (!writeLine(fd, line))
+            if (!writeLine(fd, line).ok())
                 return false; // Client gone; the job runs on.
             lk.lock();
         }

@@ -137,7 +137,7 @@ class Server
      *  a null Json when the response was already streamed. */
     Json dispatch(int fd, const Json& req, bool& closeAfter);
 
-    Json handleHello(const Json& req);
+    Json handleHello();
     Json handleSubmit(int fd, const Json& req);
     Json handleStatus(const Json& req);
     Json handleResult(const Json& req);

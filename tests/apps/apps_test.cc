@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "apps/apps.hh"
+#include "core/printer.hh"
 #include "core/validate.hh"
 #include "dse/space.hh"
 
@@ -100,6 +104,58 @@ TEST(AppsTest, IRPathIsAnythingEndingInDotDhdl)
     EXPECT_FALSE(isIRPath("gda"));
     EXPECT_FALSE(isIRPath(".dhdl")); // a suffix alone names no file
     EXPECT_FALSE(isIRPath("gda.dhdl.bak"));
+}
+
+/** The three sources load the identical design through the passes. */
+TEST(LoadDesign, NamePathAndTextAgree)
+{
+    LoadedDesign byName = loadDesign(DesignSource::Name, "gda", 0.05);
+    ASSERT_TRUE(byName.ok());
+    EXPECT_GT(byName.art.stats.controllers, 0);
+    const std::string ir = emitIR(*byName.graph);
+
+    LoadedDesign byText = loadDesign(DesignSource::IRText, ir);
+    ASSERT_TRUE(byText.ok());
+    EXPECT_EQ(emitIR(*byText.graph), ir);
+
+    const std::string path = ::testing::TempDir() + "load_design.dhdl";
+    std::ofstream(path) << ir;
+    LoadedDesign byPath = loadDesign(DesignSource::Path, path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(byPath.ok());
+    EXPECT_EQ(emitIR(*byPath.graph), ir);
+}
+
+TEST(LoadDesign, FailuresComeBackAsStatus)
+{
+    LoadedDesign unknown = loadDesign(DesignSource::Name, "nosuch");
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_FALSE(unknown.graph);
+    EXPECT_EQ(unknown.status.diag().code, DiagCode::UserError);
+    EXPECT_EQ(unknown.status.diag().stage, "load");
+
+    // A name is never opened as a file, whatever it ends in.
+    EXPECT_FALSE(loadDesign(DesignSource::Name, "gda.dhdl").ok());
+
+    LoadedDesign garbled =
+        loadDesign(DesignSource::IRText, "dhdl 1\nnot ir\n");
+    ASSERT_FALSE(garbled.ok());
+    EXPECT_FALSE(garbled.graph);
+    EXPECT_EQ(garbled.status.diag().code, DiagCode::ParseError);
+
+    // Parses, then fails validation: the graph is kept and the pass
+    // diagnostics say why.
+    std::string ir =
+        emitIR(*loadDesign(DesignSource::Name, "gda", 0.05).graph);
+    const std::string from = "addr=[%23,%28]";
+    ASSERT_NE(ir.find(from), std::string::npos);
+    ir.replace(ir.find(from), from.size(), "addr=[%23]");
+    LoadedDesign invalid = loadDesign(DesignSource::IRText, ir);
+    ASSERT_FALSE(invalid.ok());
+    EXPECT_TRUE(invalid.graph);
+    EXPECT_EQ(invalid.status.diag().stage, "validate");
+    EXPECT_FALSE(invalid.diags.empty());
+    EXPECT_FALSE(invalid.art.validationErrors.empty());
 }
 
 } // namespace

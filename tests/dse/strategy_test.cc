@@ -288,5 +288,19 @@ TEST_F(SurrogateModelTest, MissingModelWarnsAndTrainsFresh)
     EXPECT_EQ(res.stats.evaluated, res.stats.total);
 }
 
+TEST(StrategyNames, ParseIsTheInverseOfName)
+{
+    for (StrategyKind k : {StrategyKind::Random, StrategyKind::Surrogate}) {
+        StrategyKind parsed = StrategyKind::Random;
+        ASSERT_TRUE(parseStrategy(strategyName(k), parsed).ok());
+        EXPECT_EQ(parsed, k);
+    }
+    StrategyKind kept = StrategyKind::Surrogate;
+    Status st = parseStrategy("annealing", kept);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.diag().code, DiagCode::UserError);
+    EXPECT_EQ(kept, StrategyKind::Surrogate);
+}
+
 } // namespace
 } // namespace dhdl::dse

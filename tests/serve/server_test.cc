@@ -16,13 +16,18 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <thread>
 
 #include "apps/apps.hh"
+#include "analysis/templates.hh"
 #include "core/faultinject.hh"
 #include "core/passes.hh"
+#include "core/printer.hh"
 #include "estimate/area_estimator.hh"
 #include "serve/client.hh"
 
@@ -74,13 +79,15 @@ submitRequest(const std::string& design, const std::string& tenant,
 
 struct ServerFixture : ::testing::Test {
     ServerConfig cfg;
+    const est::AreaEstimator* area = nullptr; //!< nullptr: calibrated.
     std::unique_ptr<Server> server;
 
     void
     startServer()
     {
-        server = std::make_unique<Server>(est::calibratedEstimator(),
-                                          runtimeEst(), cfg);
+        server = std::make_unique<Server>(
+            area ? *area : est::calibratedEstimator(), runtimeEst(),
+            cfg);
         ASSERT_TRUE(server->start().ok());
     }
 
@@ -521,6 +528,196 @@ TEST_F(ServerFixture, GracefulDrainRejectsNewWorkFinishesOld)
 
     server->wait();
     EXPECT_EQ(server->counters().done, 1u);
+}
+
+/**
+ * The calibrated estimator with its MetaPipe controller model renamed
+ * away: every point whose MetaPipe toggles are on fails at the area
+ * stage ("uncharacterized template class"), the rest evaluate — a
+ * deterministic source of failed points for a served job.
+ */
+const est::AreaEstimator&
+estimatorWithoutMetaPipe()
+{
+    static const est::AreaEstimator stripped = [] {
+        std::stringstream saved;
+        est::calibratedEstimator().save(saved);
+        std::string text = saved.str();
+        const std::string cls =
+            "class " +
+            std::to_string(uint64_t(TemplateKind::MetaPipeCtrl) << 16) +
+            "\n";
+        const size_t at = text.find(cls);
+        EXPECT_NE(at, std::string::npos);
+        text.replace(at, cls.size(), "class 4294967295\n");
+        std::istringstream in(text);
+        return est::AreaEstimator(
+            est::calibratedEstimator().device(), in);
+    }();
+    return stripped;
+}
+
+/**
+ * `dhdlc submit --follow` prints what `dhdlc explore` prints: the
+ * summary rendered from the server's streamed `done` result equals
+ * the one rendered from a local explore of the same config, for a
+ * result that has failed points, budget-skipped points and a
+ * sampling shortfall (so every optional part of the summary shows).
+ */
+TEST_F(ServerFixture, StreamedSummaryEqualsLocalSummary)
+{
+    area = &estimatorWithoutMetaPipe();
+    startServer();
+
+    dse::ExploreConfig ecfg;
+    ecfg.maxPoints = 5000;
+    ecfg.seed = 1;
+    ecfg.evalBudget = 300;
+    Json req = Json::object();
+    req.set("op", "submit");
+    req.set("design", "dotproduct");
+    req.set("scale", 0.005);
+    req.set("config", configToJson(ecfg));
+    req.set("stream", true);
+
+    Client c = connect();
+    Json resp;
+    ASSERT_TRUE(c.request(req, resp).ok());
+    ASSERT_TRUE(resp.find("ok")->asBool()) << resp.render();
+    Json ev;
+    do {
+        ASSERT_TRUE(c.recv(ev).ok());
+    } while (ev.find("event")->asString() != "done");
+    ASSERT_NE(ev.find("result"), nullptr) << ev.render();
+    std::ostringstream served;
+    renderSummary(*ev.find("result"), served);
+
+    apps::LoadedDesign l = apps::loadDesign(apps::DesignSource::Name,
+                                            "dotproduct", 0.005);
+    ASSERT_TRUE(l.ok());
+    dse::ExploreResult res =
+        dse::Explorer(*area, runtimeEst()).explore(*l.graph, ecfg);
+    ASSERT_GT(res.stats.failed, 0u);
+    ASSERT_GT(res.stats.skipped, 0u);
+    ASSERT_LT(res.stats.total, res.stats.requested);
+    std::ostringstream local;
+    renderSummary(resultToJson(*l.graph, res), local);
+
+    EXPECT_EQ(served.str(), local.str());
+    for (const char* part :
+         {"sampling shortfall", "(eval budget)", "top failure reasons:",
+          "uncharacterized template class", "note: warning"})
+        EXPECT_NE(local.str().find(part), std::string::npos) << part;
+}
+
+/** The daemon loads designs by name or inline text only: a `.dhdl`
+ *  path in "design" is an unknown name, even when the file exists. */
+TEST_F(ServerFixture, SubmitOfAPathIsRefusedWithoutReadingIt)
+{
+    const std::string path =
+        ::testing::TempDir() + "serve_submit_path.dhdl";
+    {
+        std::ofstream out(path);
+        out << emitIR(apps::loadGraph("gda", 0.05));
+    }
+    ASSERT_TRUE(apps::loadDesign(apps::DesignSource::Path, path).ok());
+    startServer();
+    Client c = connect();
+    Json resp;
+    ASSERT_TRUE(
+        c.request(submitRequest(path, "t", 1.0, 50, 1), resp).ok());
+    EXPECT_FALSE(resp.find("ok")->asBool());
+    EXPECT_EQ(resp.find("error")->find("code")->asString(),
+              "user-error");
+    EXPECT_EQ(server->counters().submitted, 0u);
+    std::remove(path.c_str());
+}
+
+/** Config keys outside the codec's table (dhdlc-only settings such
+ *  as a checkpoint path or a shard) are ignored, not obeyed. */
+TEST_F(ServerFixture, ConfigKeysOutsideTheTableAreIgnored)
+{
+    const std::string ckpt = ::testing::TempDir() + "serve_ignored.ckpt";
+    std::remove(ckpt.c_str());
+    startServer();
+    Client c = connect();
+    Json req = submitRequest("gda", "t", 0.05, 60, 1);
+    Json cfgJson = *req.find("config");
+    cfgJson.set("checkpoint", ckpt);
+    cfgJson.set("shard", "1/2");
+    cfgJson.set("resume", true);
+    req.set("config", cfgJson);
+    req.set("stream", true);
+    Json resp;
+    ASSERT_TRUE(c.request(req, resp).ok());
+    ASSERT_TRUE(resp.find("ok")->asBool()) << resp.render();
+    Json ev;
+    do {
+        ASSERT_TRUE(c.recv(ev).ok());
+    } while (ev.find("event")->asString() != "done");
+    EXPECT_EQ(ev.find("result")->render(),
+              offlineResultJson("gda", 0.05, 60, 1));
+    EXPECT_FALSE(std::ifstream(ckpt).good());
+}
+
+/** A line past the cap ends the server's session; the server itself
+ *  keeps serving. */
+TEST_F(ServerFixture, OverlongLineClosesTheSession)
+{
+    startServer();
+    Client c = connect();
+    // The server may close before it has read every byte, so the
+    // send itself is allowed to fail.
+    (void)c.sendLine(std::string(kMaxLineBytes + 1, 'x'));
+    std::string line;
+    EXPECT_FALSE(c.recvLine(line).ok());
+    Client fresh = connect();
+    EXPECT_TRUE(fresh.hello().ok());
+    EXPECT_EQ(server->counters().requests, 1u);
+}
+
+/**
+ * The client side of the transport: a fake peer sends one
+ * CRLF-terminated line, then more than the cap without a newline.
+ * The client strips the '\r' like the server does and refuses the
+ * overlong line with an error Status instead of buffering it all.
+ */
+TEST(ClientTransport, StripsCarriageReturnAndCapsLines)
+{
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len);
+
+    std::thread peer([lfd] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        // Fails once the client hangs up; either way the peer ends.
+        if (writeAll(fd, "{\"ok\":true}\r\n").ok())
+            (void)writeAll(fd, std::string(kMaxLineBytes + 1, 'x'));
+        ::close(fd);
+    });
+
+    Client c;
+    ASSERT_TRUE(
+        c.connect("127.0.0.1:" + std::to_string(ntohs(addr.sin_port)))
+            .ok());
+    std::string line;
+    ASSERT_TRUE(c.recvLine(line).ok());
+    EXPECT_EQ(line, "{\"ok\":true}");
+    Status st = c.recvLine(line);
+    EXPECT_FALSE(st.ok());
+    EXPECT_NE(st.diag().message.find("MiB"), std::string::npos)
+        << st.diag().message;
+    c.close();
+    peer.join();
+    ::close(lfd);
 }
 
 } // namespace

@@ -1,37 +1,23 @@
 /**
  * dhdlc — command-line driver for the DHDL framework.
  *
- * Usage:
- *   dhdlc list
- *   dhdlc explore <design> [--scale S] [--points N] [--top K]
- *                 [--threads T] [--time-budget SEC] [--seed SEED]
- *                 [--checkpoint FILE] [--resume] [--profile]
- *                 [--shard I/N] [--shards N] [--shard-timeout SEC]
- *                 [--retries R] [--trace FILE] [--metrics FILE]
- *   dhdlc merge <design> --shards N --checkpoint FILE
- *                 [--scale S] [--points N] [--seed SEED] [--top K]
- *   dhdlc report <design> [--scale S] [--points N]
- *   dhdlc emit <design> [--scale S] [--points N] [--out DIR]
- *   dhdlc emit-ir <design> [--scale S]
- *   dhdlc print <design> [--scale S]
- *   dhdlc calibrate [--out DIR]
- *   dhdlc submit <design> --server HOST:PORT [--tenant T]
- *                 [--points N] [--seed SEED] [--strategy ...]
- *                 [--follow]
- *   dhdlc status --server HOST:PORT --job ID
- *   dhdlc result --server HOST:PORT --job ID [--wait]
- *   dhdlc cancel --server HOST:PORT --job ID
- *   dhdlc --version
+ * Usage: dhdlc <command> [<design>] [flags...]. Run without
+ * arguments for every flag: one table drives parsing and the usage
+ * text. Commands: list, print, explore, merge, report, emit, emit-ir,
+ * calibrate, submit, status, result, cancel; or `dhdlc --version`.
  *
  * The serving commands talk to a running `dhdld` daemon over its
  * line-delimited JSON protocol (src/serve). `submit` sends a design
  * by registry name, or — when given a `.dhdl` path — reads the file
  * here and ships the IR text, so the daemon never touches client
- * paths. `--follow` streams incremental Pareto-front updates as
- * search rounds complete. `status`/`result`/`cancel` poll, fetch
- * (`--wait` blocks until the job finishes) and cooperatively cancel.
- * Every exchange carries the protocol version; skew is rejected with
- * a structured version-mismatch diagnostic on both sides.
+ * paths; its config is serve::configToJson() of the same
+ * ExploreConfig `explore` would run. `--follow` streams incremental
+ * Pareto-front updates as search rounds complete and ends with the
+ * summary `explore` prints (serve::renderSummary()), minus the
+ * Pareto listing. `status`/`result`/`cancel` poll, fetch (`--wait`
+ * blocks until the job finishes) and cooperatively cancel. Every
+ * exchange carries the protocol version; skew is rejected with a
+ * structured version-mismatch diagnostic on both sides.
  *
  * <design> is either a benchmark name from `dhdlc list` or a path to
  * a `.dhdl` IR file (anything ending in ".dhdl"); both take the
@@ -46,7 +32,8 @@
  * <DIR>/dhdl_calibration.txt (reloadable via
  * est::AreaEstimator(device, stream)).
  *
- * Every load — built or parsed — runs the standard analysis pass
+ * Every load goes through apps::loadDesign(), the loader dhdld uses
+ * too: built or parsed, the design runs the standard analysis pass
  * pipeline (validate, fold-constants, dead-nodes, stats); pass
  * failures are reported as structured diagnostics and abort the
  * command.
@@ -79,11 +66,8 @@
  * (src/core/faultinject.hh); dhdlc is the only place that reads it.
  */
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <map>
@@ -98,13 +82,13 @@
 #include "obs/trace.hh"
 #include "codegen/maxj.hh"
 #include "core/faultinject.hh"
-#include "core/passes.hh"
 #include "core/printer.hh"
 #include "core/transform.hh"
 #include "dse/explorer.hh"
 #include "dse/shard.hh"
 #include "dse/supervisor.hh"
 #include "estimate/power_model.hh"
+#include "flags.hh"
 #include "fpga/toolchain.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -150,39 +134,11 @@ struct Args {
     std::map<std::string, std::string> typed;
 };
 
-/**
- * The one flag table: each entry carries the flag name, its operand
- * placeholder (nullptr for booleans) and the setter, which returns
- * false for an operand it cannot take. parse() and usage() both walk
- * it, so adding a flag is one line and the two can never disagree —
- * the historical per-flag if/else blocks duplicated every name three
- * times.
- */
-struct FlagDef {
-    const char* name;
-    const char* operand; //!< e.g. "N"; nullptr = boolean flag.
-    std::function<bool(Args&, const char*)> set;
-};
-
-const std::vector<FlagDef>&
+const std::vector<tools::FlagDef<Args>>&
 flagTable()
 {
-    // Numeric operands must parse as one whole token: "2k", "four"
-    // and "x" are usage errors, not 2, 0 and 0.
-    auto num = [](auto Args::* f) {
-        return [f](Args& a, const char* v) {
-            const char* end = v + std::strlen(v);
-            auto [p, ec] = std::from_chars(v, end, a.*f);
-            return ec == std::errc() && p == end;
-        };
-    };
-    auto str = [](std::string Args::* f) {
-        return [f](Args& a, const char* v) { a.*f = v; return true; };
-    };
-    auto flag = [](bool Args::* f) {
-        return [f](Args& a, const char*) { a.*f = true; return true; };
-    };
-    static const std::vector<FlagDef> table = {
+    using tools::flag, tools::num, tools::str;
+    static const std::vector<tools::FlagDef<Args>> table = {
         {"--scale", "S", num(&Args::scale)},
         {"--points", "N", num(&Args::points)},
         {"--top", "K", num(&Args::top)},
@@ -222,12 +178,7 @@ usage()
                  "<list|print|explore|merge|report|emit|emit-ir|"
                  "calibrate|submit|status|result|cancel> "
                  "[benchmark|file.dhdl]";
-    for (const FlagDef& f : flagTable()) {
-        std::cerr << " [" << f.name;
-        if (f.operand)
-            std::cerr << " " << f.operand;
-        std::cerr << "]";
-    }
+    tools::usageFlags(std::cerr, flagTable());
     std::cerr << "\n       dhdlc --version" << std::endl;
     return 2;
 }
@@ -245,55 +196,34 @@ parse(int argc, char** argv, Args& args)
     }
     if (i < argc && argv[i][0] != '-')
         args.benchmark = argv[i++];
-    for (; i < argc; ++i) {
-        const FlagDef* def = nullptr;
-        for (const FlagDef& f : flagTable())
-            if (f.name == std::string(argv[i]))
-                def = &f;
-        if (!def)
-            return false;
-        const char* v = nullptr;
-        if (def->operand) {
-            if (i + 1 >= argc)
-                return false;
-            v = argv[++i];
-            args.typed[def->name] = v;
-        }
-        if (!def->set(args, v))
-            return false;
-    }
-    return true;
+    return tools::parseFlags(flagTable(), argc, argv, i, args,
+                             &args.typed);
 }
 
 /**
- * Everything dhdlc knows about the design it operates on: the graph
- * (built from a registry name or parsed from a `.dhdl` file) plus the
- * artifacts of the standard pass pipeline, which runs on every load
- * so files and built designs behave identically.
+ * The design named on the command line — a registry name or a `.dhdl`
+ * path — through the one design loader. A failure aborts the command;
+ * a failed pass first prints every pass diagnostic and validation
+ * error.
  */
-struct Loaded {
-    Graph graph;
-    PassArtifacts art;
-};
-
-Loaded
+apps::LoadedDesign
 load(const Args& args)
 {
-    Graph g = apps::loadGraph(args.benchmark, args.scale);
-    DiagSink sink;
-    PassContext ctx(sink);
-    PassManager pm = standardPasses();
-    Status st = pm.run(g, ctx);
-    if (!st.ok()) {
-        for (const auto& d : sink.snapshot())
-            std::cerr << "dhdlc: " << d.str() << "\n";
-        for (const auto& e : ctx.art.validationErrors)
-            std::cerr << "dhdlc:   " << e << "\n";
-        fatal("design '" + args.benchmark + "' failed the " +
-                  "analysis pipeline",
-              st.diag().code);
-    }
-    return Loaded{std::move(g), std::move(ctx.art)};
+    apps::LoadedDesign l = apps::loadDesign(
+        apps::isIRPath(args.benchmark) ? apps::DesignSource::Path
+                                       : apps::DesignSource::Name,
+        args.benchmark, args.scale);
+    if (l.ok())
+        return l;
+    const Diag& d = l.status.diag();
+    if (!l.graph)
+        fatal(d.str(), d.code);
+    for (const auto& pd : l.diags)
+        std::cerr << "dhdlc: " << pd.str() << "\n";
+    for (const auto& e : l.art.validationErrors)
+        std::cerr << "dhdlc:   " << e << "\n";
+    fatal("design '" + args.benchmark + "' failed the analysis pipeline",
+          d.code);
 }
 
 /** Output stem: the graph name for files, the CLI name otherwise. */
@@ -322,14 +252,9 @@ makeConfig(const Args& args)
     if (args.checkpointEvery > 0)
         cfg.checkpointEvery = args.checkpointEvery;
     if (!args.strategy.empty()) {
-        if (args.strategy == "random")
-            cfg.strategy = dse::StrategyKind::Random;
-        else if (args.strategy == "surrogate")
-            cfg.strategy = dse::StrategyKind::Surrogate;
-        else
-            fatal("unknown --strategy '" + args.strategy +
-                      "' (random|surrogate)",
-                  DiagCode::UserError);
+        Status st = dse::parseStrategy(args.strategy, cfg.strategy);
+        if (!st.ok())
+            fatal(st.diag().message, st.diag().code);
     }
     if (args.initialPoints > 0)
         cfg.surrogate.initialPoints = args.initialPoints;
@@ -362,36 +287,11 @@ explore(const Graph& g, const Args& args)
     return ex.explore(g, makeConfig(args));
 }
 
-/** One-line sweep health summary: evaluated/failed/valid/Pareto. */
+/** The summary every command prints: serve::renderSummary(). */
 void
-printStats(const dse::ExploreResult& res)
+printSummary(const Graph& g, const dse::ExploreResult& res)
 {
-    const auto& s = res.stats;
-    std::cout << s.total << " points sampled";
-    if (s.requested && s.total < s.requested)
-        std::cout << " (of " << s.requested
-                  << " requested; sampling shortfall)";
-    std::cout << ", " << s.evaluated << " evaluated";
-    if (s.resumed)
-        std::cout << " (" << s.resumed << " from checkpoint)";
-    if (s.skipped) {
-        std::cout << ", " << s.skipped << " un-evaluated";
-        if (s.timeBudgetHit || s.evalBudgetHit)
-            std::cout << " (" << (s.timeBudgetHit ? "time" : "eval")
-                      << " budget)";
-    }
-    std::cout << ", " << s.failed << " failed, " << s.valid
-              << " valid, " << res.pareto.size()
-              << " Pareto-optimal\n";
-    if (s.failed) {
-        std::cout << "top failure reasons:\n";
-        for (const auto& [label, count] : res.failureSummary())
-            std::cout << "  " << count << "x " << label << "\n";
-    }
-    for (const auto& d : res.diags) {
-        if (d.severity == DiagSeverity::Warning)
-            std::cout << "note: " << d.str() << "\n";
-    }
+    serve::renderSummary(serve::resultToJson(g, res), std::cout);
 }
 
 int
@@ -407,8 +307,8 @@ cmdList()
 int
 cmdPrint(const Args& args)
 {
-    Loaded l = load(args);
-    std::cout << printGraph(l.graph);
+    apps::LoadedDesign l = load(args);
+    std::cout << printGraph(*l.graph);
     const auto& stats = l.art.stats;
     std::cout << "\n# controllers=" << stats.controllers
               << " pipes=" << stats.pipes
@@ -424,8 +324,8 @@ cmdPrint(const Args& args)
 int
 cmdEmitIR(const Args& args)
 {
-    Loaded l = load(args);
-    std::cout << emitIR(l.graph);
+    apps::LoadedDesign l = load(args);
+    std::cout << emitIR(*l.graph);
     return 0;
 }
 
@@ -462,7 +362,7 @@ printMerged(const Graph& g, const Args& args)
             std::cout << " " << s;
         std::cout << "\n";
     }
-    printStats(merged.result);
+    printSummary(g, merged.result);
     printPareto(g, merged.result, args.top);
     return merged.complete();
 }
@@ -494,7 +394,7 @@ cmdSupervise(const Args& args)
     require(!args.checkpoint.empty(),
             "--shards needs --checkpoint (shard files derive from it)");
     require(args.shards >= 1, "--shards must be >= 1");
-    Loaded l = load(args); // Validate the design before spawning.
+    apps::LoadedDesign l = load(args); // Validate before spawning.
 
     const std::string exe = selfExe(gArgv0);
     std::vector<dse::SupervisorTask> tasks;
@@ -535,7 +435,7 @@ cmdSupervise(const Args& args)
         std::cout << sup.retries << " retried attempt(s), "
                   << sup.timeouts << " watchdog timeout(s)\n";
 
-    return printMerged(l.graph, args) && sup.allSucceeded() ? 0 : 1;
+    return printMerged(*l.graph, args) && sup.allSucceeded() ? 0 : 1;
 }
 
 int
@@ -543,10 +443,10 @@ cmdExplore(const Args& args)
 {
     if (args.shards > 0)
         return cmdSupervise(args);
-    Loaded l = load(args);
-    auto res = explore(l.graph, args);
-    printStats(res);
-    printPareto(l.graph, res, args.top);
+    apps::LoadedDesign l = load(args);
+    auto res = explore(*l.graph, args);
+    printSummary(*l.graph, res);
+    printPareto(*l.graph, res, args.top);
     return 0;
 }
 
@@ -559,27 +459,28 @@ cmdMerge(const Args& args)
 {
     require(!args.checkpoint.empty(), "merge needs --checkpoint");
     require(args.shards >= 1, "merge needs --shards N");
-    Loaded l = load(args);
-    return printMerged(l.graph, args) ? 0 : 1;
+    apps::LoadedDesign l = load(args);
+    return printMerged(*l.graph, args) ? 0 : 1;
 }
 
 int
 cmdReport(const Args& args)
 {
-    Loaded l = load(args);
-    auto res = explore(l.graph, args);
+    apps::LoadedDesign l = load(args);
+    const Graph& g = *l.graph;
+    auto res = explore(g, args);
     auto best = res.bestIndex();
     if (!best) {
-        printStats(res);
+        printSummary(g, res);
         std::cerr << "no valid design found\n";
         return 1;
     }
     const auto& p = res.points[*best];
-    Inst inst(l.graph, p.binding);
+    Inst inst(g, p.binding);
     auto truth = est::defaultToolchain().synthesize(inst);
     auto timed = sim::TimingSim(inst).run();
 
-    std::cout << "best design: [" << dse::renderBinding(l.graph, p.binding)
+    std::cout << "best design: [" << dse::renderBinding(g, p.binding)
               << "]\n";
     std::cout << "             estimate      synthesized/simulated\n";
     std::cout << "ALMs     " << int64_t(p.area.alms) << "  vs  "
@@ -603,16 +504,17 @@ cmdReport(const Args& args)
 int
 cmdEmit(const Args& args)
 {
-    Loaded l = load(args);
-    auto res = explore(l.graph, args);
+    apps::LoadedDesign l = load(args);
+    const Graph& g = *l.graph;
+    auto res = explore(g, args);
     auto best = res.bestIndex();
     if (!best) {
-        printStats(res);
+        printSummary(g, res);
         std::cerr << "no valid design found\n";
         return 1;
     }
-    Inst inst(l.graph, res.points[*best].binding);
-    std::string stem = designStem(args, l.graph);
+    Inst inst(g, res.points[*best].binding);
+    std::string stem = designStem(args, g);
     std::string kpath = args.out + "/" + stem + ".maxj";
     std::string mpath = args.out + "/" + stem + "Manager.maxj";
     std::ofstream(kpath) << codegen::emitMaxj(inst);
@@ -642,33 +544,6 @@ clientConnect(const Args& args, serve::Client& c)
     return 0;
 }
 
-/** A one-line human summary of a server-side result object. */
-void
-printRemoteResult(const serve::Json& result)
-{
-    const serve::Json* stats = result.find("stats");
-    const serve::Json* front = result.find("front");
-    if (!stats)
-        return;
-    auto n = [&](const char* k) {
-        const serve::Json* v = stats->find(k);
-        return v ? v->asInt() : 0;
-    };
-    std::cout << n("sampled") << " points sampled";
-    const serve::Json* shortfall = stats->find("shortfall");
-    if (shortfall && shortfall->asBool())
-        std::cout << " (of " << n("requested")
-                  << " requested; sampling shortfall)";
-    std::cout << ", " << n("evaluated") << " evaluated, "
-              << n("failed") << " failed, " << n("valid")
-              << " valid, " << (front ? front->items().size() : 0)
-              << " Pareto-optimal\n";
-    if (const serve::Json* warns = result.find("warnings"))
-        for (const serve::Json& w : warns->items())
-            if (const serve::Json* m = w.find("message"))
-                std::cout << "note: " << m->asString() << "\n";
-}
-
 int
 cmdSubmit(const Args& args)
 {
@@ -692,21 +567,7 @@ cmdSubmit(const Args& args)
         req.set("design", args.benchmark);
         req.set("scale", args.scale);
     }
-    serve::Json cfg = serve::Json::object();
-    cfg.set("points", args.points);
-    if (args.seed >= 0)
-        cfg.set("seed", args.seed);
-    if (args.threads > 1)
-        cfg.set("threads", args.threads);
-    if (args.timeBudget > 0)
-        cfg.set("time_budget", args.timeBudget);
-    if (!args.strategy.empty())
-        cfg.set("strategy", args.strategy);
-    if (args.initialPoints > 0)
-        cfg.set("initial_points", args.initialPoints);
-    if (args.maxRounds > 0)
-        cfg.set("max_rounds", args.maxRounds);
-    req.set("config", std::move(cfg));
+    req.set("config", serve::configToJson(makeConfig(args)));
     if (args.follow)
         req.set("stream", true);
 
@@ -751,7 +612,7 @@ cmdSubmit(const Args& args)
             std::cout << "job finished: "
                       << (state ? state->asString() : "?") << "\n";
             if (const serve::Json* result = ev.find("result"))
-                printRemoteResult(*result);
+                serve::renderSummary(*result, std::cout);
             else if (const serve::Json* err = ev.find("error"))
                 std::cout << "error: " << err->render() << "\n";
             return state && state->asString() == "done" ? 0 : 1;
@@ -793,12 +654,9 @@ runCommand(const Args& args)
         std::cout << "wrote " << path << "\n";
         return 0;
     }
-    if (args.command == "status")
-        return cmdJobOp(args, "status");
-    if (args.command == "result")
-        return cmdJobOp(args, "result");
-    if (args.command == "cancel")
-        return cmdJobOp(args, "cancel");
+    for (const char* op : {"status", "result", "cancel"})
+        if (args.command == op)
+            return cmdJobOp(args, op);
     if (args.benchmark.empty())
         return usage();
     if (args.command == "submit")

@@ -1,11 +1,8 @@
 /**
  * dhdld — the persistent DSE-as-a-service daemon (src/serve).
  *
- * Usage:
- *   dhdld [--port N] [--port-file FILE] [--executors N]
- *         [--threads T] [--cache-size N] [--max-queue N]
- *         [--tenant-jobs N] [--tenant-eval-budget N]
- *         [--max-points N] [--version]
+ * Usage: dhdld [flags...]; a bad flag prints them all (the flag table
+ * below, shared with dhdlc through tools/flags.hh).
  *
  * Binds a loopback TCP listener (an ephemeral port by default;
  * --port-file publishes the bound port for scripts and CI), prints
@@ -18,14 +15,13 @@
  * enables span/metric recording inside jobs.
  */
 
-#include <charconv>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 
 #include "estimate/area_estimator.hh"
+#include "flags.hh"
 #include "serve/server.hh"
 
 using namespace dhdl;
@@ -42,29 +38,29 @@ onSignal(int)
         gServer->requestStop();
 }
 
-/**
- * Parse the whole operand as a number: "80x", "x" and (for unsigned
- * fields) "-1" are usage errors, not 80, 0 and SIZE_MAX.
- */
-template <class T>
-bool
-parseWhole(const char* v, T& out)
-{
-    const char* end = v + std::strlen(v);
-    auto [p, ec] = std::from_chars(v, end, out);
-    return ec == std::errc() && p == end;
-}
+/** The server's settings plus the daemon's own flags. */
+struct Args : serve::ServerConfig {
+    std::string portFile;
+    bool version = false;
+};
 
-int
-usage()
+const std::vector<tools::FlagDef<Args>>&
+flagTable()
 {
-    std::cerr << "usage: dhdld [--port N] [--port-file FILE]"
-                 " [--executors N] [--threads T] [--cache-size N]"
-                 " [--max-queue N] [--tenant-jobs N]"
-                 " [--tenant-eval-budget N] [--max-points N]"
-                 " [--version]"
-              << std::endl;
-    return 2;
+    using tools::flag, tools::num, tools::str;
+    static const std::vector<tools::FlagDef<Args>> table = {
+        {"--port", "N", num(&Args::port)},
+        {"--port-file", "FILE", str(&Args::portFile)},
+        {"--executors", "N", num(&Args::executors)},
+        {"--threads", "T", num(&Args::jobThreads)},
+        {"--cache-size", "N", num(&Args::cacheCapacity)},
+        {"--max-queue", "N", num(&Args::maxQueue)},
+        {"--tenant-jobs", "N", num(&Args::tenantMaxJobs)},
+        {"--tenant-eval-budget", "N", num(&Args::tenantEvalBudget)},
+        {"--max-points", "N", num(&Args::maxPointsPerJob)},
+        {"--version", nullptr, flag(&Args::version)},
+    };
+    return table;
 }
 
 } // namespace
@@ -72,46 +68,21 @@ usage()
 int
 main(int argc, char** argv)
 {
-    serve::ServerConfig cfg;
-    std::string portFile;
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (flag == "--version") {
-            std::cout << "dhdld " << serve::versionString()
-                      << " (protocol " << serve::kProtocolVersion
-                      << ")\n";
-            return 0;
-        }
-        if (i + 1 >= argc)
-            return usage();
-        const char* v = argv[++i];
-        bool ok = true;
-        if (flag == "--port")
-            ok = parseWhole(v, cfg.port);
-        else if (flag == "--port-file")
-            portFile = v;
-        else if (flag == "--executors")
-            ok = parseWhole(v, cfg.executors);
-        else if (flag == "--threads")
-            ok = parseWhole(v, cfg.jobThreads);
-        else if (flag == "--cache-size")
-            ok = parseWhole(v, cfg.cacheCapacity);
-        else if (flag == "--max-queue")
-            ok = parseWhole(v, cfg.maxQueue);
-        else if (flag == "--tenant-jobs")
-            ok = parseWhole(v, cfg.tenantMaxJobs);
-        else if (flag == "--tenant-eval-budget")
-            ok = parseWhole(v, cfg.tenantEvalBudget);
-        else if (flag == "--max-points")
-            ok = parseWhole(v, cfg.maxPointsPerJob);
-        else
-            ok = false;
-        if (!ok)
-            return usage();
+    Args args;
+    if (!tools::parseFlags(flagTable(), argc, argv, 1, args)) {
+        std::cerr << "usage: dhdld";
+        tools::usageFlags(std::cerr, flagTable());
+        std::cerr << std::endl;
+        return 2;
     }
-
+    if (args.version) {
+        std::cout << "dhdld " << serve::versionString()
+                  << " (protocol " << serve::kProtocolVersion
+                  << ")\n";
+        return 0;
+    }
     static est::RuntimeEstimator runtime;
-    serve::Server server(est::calibratedEstimator(), runtime, cfg);
+    serve::Server server(est::calibratedEstimator(), runtime, args);
     if (Status st = server.start(); !st.ok()) {
         std::cerr << "dhdld: " << st.diag().str() << "\n";
         return 1;
@@ -123,11 +94,12 @@ main(int argc, char** argv)
     ::sigaction(SIGTERM, &sa, nullptr);
     ::sigaction(SIGINT, &sa, nullptr);
 
-    if (!portFile.empty()) {
-        std::ofstream pf(portFile);
+    if (!args.portFile.empty()) {
+        std::ofstream pf(args.portFile);
         pf << server.port() << "\n";
         if (!pf) {
-            std::cerr << "dhdld: cannot write " << portFile << "\n";
+            std::cerr << "dhdld: cannot write " << args.portFile
+                      << "\n";
             server.requestStop();
             server.wait();
             return 1;
