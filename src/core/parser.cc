@@ -6,7 +6,7 @@
 #include <sstream>
 #include <vector>
 
-#include "core/printer.hh"
+#include "core/irschema.hh"
 #include "obs/trace.hh"
 
 namespace dhdl {
@@ -77,6 +77,74 @@ class Cursor
     {
         if (!tryConsume(tok))
             fail("expected '" + std::string(tok) + "'");
+    }
+
+    /** `<key>=` of a field. */
+    void
+    expectKey(std::string_view key)
+    {
+        if (!tryConsume(key) || !tryConsume("="))
+            fail("expected '" + std::string(key) + "='");
+    }
+
+    /**
+     * Operator token: the longest name(E(i)), i <= last, at the
+     * cursor, so "<=" wins over "<".
+     */
+    template <class E>
+    E
+    parseToken(const char* (*name)(E), E last, const char* what)
+    {
+        skipSpace();
+        int best = -1;
+        size_t len = 0;
+        for (int i = 0; i <= int(last); ++i) {
+            std::string_view tok = name(E(i));
+            if (tok.size() > len && s_.substr(pos_, tok.size()) == tok) {
+                best = i;
+                len = tok.size();
+            }
+        }
+        if (best < 0)
+            fail(std::string("expected ") + what);
+        pos_ += len;
+        return E(best);
+    }
+
+    /** Keyword spelled name(E(i)) for some i <= last, e.g. an op. */
+    template <class E>
+    E
+    parseName(const char* (*name)(E), E last, const char* what)
+    {
+        std::string w = parseWord();
+        for (int i = 0; i <= int(last); ++i) {
+            if (w == name(E(i)))
+                return E(i);
+        }
+        fail(std::string("unknown ") + what + " '" + w + "'");
+    }
+
+    /** `[<item>,...]`, each entry read by item(). */
+    template <class Item>
+    auto
+    parseList(Item item)
+    {
+        std::vector<decltype(item())> out;
+        skipSpace();
+        expect("[");
+        skipSpace();
+        if (tryConsume("]"))
+            return out;
+        while (true) {
+            if (out.size() >= kMaxListLen)
+                fail("list too long");
+            out.push_back(item());
+            skipSpace();
+            if (tryConsume("]"))
+                break;
+            expect(",");
+        }
+        return out;
     }
 
     /** One space (canonical form) — tolerate runs of blanks. */
@@ -244,20 +312,8 @@ class Cursor
         skipSpace();
         if (tryConsume("(")) {
             CExpr lhs = parseCExpr(num_params, depth + 1);
-            skipSpace();
-            CArith op;
-            if (tryConsume("+"))
-                op = CArith::Add;
-            else if (tryConsume("-"))
-                op = CArith::Sub;
-            else if (tryConsume("*"))
-                op = CArith::Mul;
-            else if (tryConsume("/"))
-                op = CArith::Div;
-            else if (tryConsume("%"))
-                op = CArith::Mod;
-            else
-                fail("expected arithmetic operator");
+            CArith op =
+                parseToken(arithName, CArith::Mod, "arithmetic operator");
             CExpr rhs = parseCExpr(num_params, depth + 1);
             skipSpace();
             expect(")");
@@ -409,7 +465,7 @@ class Parser
             parseConstraint(c);
         } else if (kw == "node") {
             advanceTo(Section::Node, c);
-            parseNode(c);
+            readNode(c);
         } else if (kw == "root") {
             advanceTo(Section::Root, c);
             if (seen_root_)
@@ -422,7 +478,7 @@ class Parser
             if (seen_offchip_)
                 c.fail("duplicate 'offchip'");
             seen_offchip_ = true;
-            g().offchipMems = parseRefList(c);
+            g().offchipMems = c.parseList([&c] { return c.parseRef(); });
             c.expectEnd();
         } else if (kw == "end") {
             advanceTo(Section::End, c);
@@ -442,31 +498,19 @@ class Parser
             c.fail("too many parameters");
         ParamDef d;
         d.name = c.parseQuoted();
+        if (d.name.empty())
+            c.fail("parameter must be named");
         c.expectSpace();
         c.expect("kind=");
-        std::string k = c.parseWord();
-        if (k == "tile")
-            d.kind = ParamKind::TileSize;
-        else if (k == "par")
-            d.kind = ParamKind::ParFactor;
-        else if (k == "toggle")
-            d.kind = ParamKind::Toggle;
-        else if (k == "fixed")
-            d.kind = ParamKind::Fixed;
-        else
-            c.fail("unknown parameter kind '" + k + "'");
-        c.expectSpace();
-        c.expect("default=");
-        d.defaultValue = c.parseInt();
-        c.expectSpace();
-        c.expect("divisor_of=");
-        d.divisorOf = c.parseInt();
-        c.expectSpace();
-        c.expect("min=");
-        d.minValue = c.parseInt();
-        c.expectSpace();
-        c.expect("max=");
-        d.maxValue = c.parseInt();
+        d.kind = c.parseName(ir::paramKindName, ParamKind::Fixed,
+                             "parameter kind");
+        for (const auto& [key, member] : ir::kParamInts) {
+            c.expectSpace();
+            c.expectKey(key);
+            d.*member = c.parseInt();
+        }
+        if (d.minValue > d.maxValue)
+            c.fail("parameter '" + d.name + "' has empty range");
         c.expectEnd();
         g().params().add(std::move(d));
     }
@@ -479,82 +523,15 @@ class Parser
         size_t np = g().params().size();
         Constraint cons;
         cons.lhs = c.parseCExpr(np);
-        c.skipSpace();
-        if (c.tryConsume("=="))
-            cons.cmp = CCmp::Eq;
-        else if (c.tryConsume("!="))
-            cons.cmp = CCmp::Ne;
-        else if (c.tryConsume("<="))
-            cons.cmp = CCmp::Le;
-        else if (c.tryConsume(">="))
-            cons.cmp = CCmp::Ge;
-        else if (c.tryConsume("<"))
-            cons.cmp = CCmp::Lt;
-        else if (c.tryConsume(">"))
-            cons.cmp = CCmp::Gt;
-        else
-            c.fail("expected comparison operator");
+        cons.cmp = c.parseToken(cmpName, CCmp::Ge, "comparison operator");
         cons.rhs = c.parseCExpr(np);
         c.expectEnd();
         g().constraints.push_back(std::move(cons));
     }
 
-    std::vector<NodeId>
-    parseRefList(Cursor& c)
-    {
-        std::vector<NodeId> out;
-        c.skipSpace();
-        c.expect("[");
-        c.skipSpace();
-        if (c.tryConsume("]"))
-            return out;
-        while (true) {
-            if (out.size() >= kMaxListLen)
-                c.fail("list too long");
-            out.push_back(c.parseRef());
-            c.skipSpace();
-            if (c.tryConsume("]"))
-                break;
-            c.expect(",");
-        }
-        return out;
-    }
-
-    std::vector<Sym>
-    parseSymList(Cursor& c)
-    {
-        std::vector<Sym> out;
-        size_t np = g().params().size();
-        c.skipSpace();
-        c.expect("[");
-        c.skipSpace();
-        if (c.tryConsume("]"))
-            return out;
-        while (true) {
-            if (out.size() >= kMaxListLen)
-                c.fail("list too long");
-            out.push_back(c.parseSym(np));
-            c.skipSpace();
-            if (c.tryConsume("]"))
-                break;
-            c.expect(",");
-        }
-        return out;
-    }
-
-    Op
-    parseOp(Cursor& c)
-    {
-        std::string w = c.parseWord();
-        for (int i = 0; i <= int(Op::ToFixed); ++i) {
-            if (w == opName(Op(i)))
-                return Op(i);
-        }
-        c.fail("unknown op '" + w + "'");
-    }
-
+    /** A node line, read field by field from the kind's schema. */
     void
-    parseNode(Cursor& c)
+    readNode(Cursor& c)
     {
         Graph& gr = g();
         if (int64_t(gr.numNodes()) >= kMaxNodes)
@@ -566,217 +543,71 @@ class Parser
             c.fail("node ids must be sequential");
         c.expectSpace();
         std::string kind = c.parseWord();
+        const ir::KindSchema* k = ir::schemaOf(kind);
+        if (!k)
+            c.fail("unknown node kind '" + kind + "'");
         std::string name = c.parseQuoted();
         c.expectSpace();
         c.expect("parent=");
         NodeId parent = c.parseRef();
-        size_t np = gr.params().size();
-
-        Node* made = nullptr;
-        if (kind == "prim") {
+        Node& n = k->make(gr, std::move(name));
+        n.parent = parent;
+        for (const ir::Field& f : k->fields) {
             c.expectSpace();
-            c.expect("op=");
-            Op op = parseOp(c);
-            c.expectSpace();
-            c.expect("type=");
-            DType t = c.parseDType();
-            c.expectSpace();
-            c.expect("val=");
-            double val = c.parseDouble();
-            c.expectSpace();
-            c.expect("in=");
-            auto inputs = parseRefList(c);
-            c.expectSpace();
-            c.expect("ctr=");
-            NodeId ctr = c.parseRef();
-            c.expectSpace();
-            c.expect("dim=");
-            int64_t dim = c.parseInt();
-            if (dim < 0 || dim > int64_t(kMaxListLen))
-                c.fail("counter dimension out of range");
-            auto& n = gr.make<PrimNode>(std::move(name), op, t);
-            n.constValue = val;
-            n.inputs = std::move(inputs);
-            n.counter = ctr;
-            n.ctrDim = int(dim);
-            made = &n;
-        } else if (kind == "ld") {
-            c.expectSpace();
-            c.expect("mem=");
-            NodeId mem = c.parseRef();
-            c.expectSpace();
-            c.expect("type=");
-            DType t = c.parseDType();
-            c.expectSpace();
-            c.expect("addr=");
-            auto addr = parseRefList(c);
-            auto& n = gr.make<LoadNode>(std::move(name), mem, t);
-            n.addr = std::move(addr);
-            made = &n;
-        } else if (kind == "st") {
-            c.expectSpace();
-            c.expect("mem=");
-            NodeId mem = c.parseRef();
-            c.expectSpace();
-            c.expect("value=");
-            NodeId value = c.parseRef();
-            c.expectSpace();
-            c.expect("addr=");
-            auto addr = parseRefList(c);
-            auto& n = gr.make<StoreNode>(std::move(name), mem, value);
-            n.addr = std::move(addr);
-            made = &n;
-        } else if (kind == "offchipmem" || kind == "bram") {
-            c.expectSpace();
-            c.expect("type=");
-            DType t = c.parseDType();
-            c.expectSpace();
-            c.expect("dims=");
-            auto dims = parseSymList(c);
-            if (dims.empty())
-                c.fail("memory needs at least one dimension");
-            if (kind == "offchipmem") {
-                made = &gr.make<OffChipMemNode>(std::move(name), t,
-                                                std::move(dims));
-            } else {
-                c.expectSpace();
-                c.expect("banks=");
-                int64_t banks = c.parseInt();
-                if (banks < 0 || banks > (int64_t(1) << 20))
-                    c.fail("bank count out of range");
-                auto& n = gr.make<BramNode>(std::move(name), t,
-                                            std::move(dims));
-                n.forcedBanks = int(banks);
-                made = &n;
-            }
-        } else if (kind == "reg") {
-            c.expectSpace();
-            c.expect("type=");
-            DType t = c.parseDType();
-            c.expectSpace();
-            c.expect("init=");
-            double init = c.parseDouble();
-            made = &gr.make<RegNode>(std::move(name), t, init);
-        } else if (kind == "queue") {
-            c.expectSpace();
-            c.expect("type=");
-            DType t = c.parseDType();
-            c.expectSpace();
-            c.expect("depth=");
-            Sym depth = c.parseSym(np);
-            made = &gr.make<QueueNode>(std::move(name), t, depth);
-        } else if (kind == "counter") {
-            c.expectSpace();
-            c.expect("dims=");
-            std::vector<CtrDim> dims;
-            c.expect("[");
-            c.skipSpace();
-            if (!c.tryConsume("]")) {
-                while (true) {
-                    if (dims.size() >= kMaxListLen)
-                        c.fail("list too long");
-                    CtrDim d;
-                    d.min = c.parseSym(np);
-                    c.expect(":");
-                    d.max = c.parseSym(np);
-                    c.expect(":");
-                    d.step = c.parseSym(np);
-                    dims.push_back(d);
-                    c.skipSpace();
-                    if (c.tryConsume("]"))
-                        break;
-                    c.expect(",");
-                }
-            }
-            if (dims.empty())
-                c.fail("counter needs at least one dimension");
-            made = &gr.make<CounterNode>(std::move(name),
-                                         std::move(dims));
-        } else if (kind == "pipe" || kind == "seq" ||
-                   kind == "parallel" || kind == "metapipe") {
-            c.expectSpace();
-            c.expect("counter=");
-            NodeId counter = c.parseRef();
-            c.expectSpace();
-            c.expect("par=");
-            Sym par = c.parseSym(np);
-            c.expectSpace();
-            c.expect("toggle=");
-            Sym toggle = c.parseSym(np);
-            c.expectSpace();
-            c.expect("pattern=");
-            std::string pat = c.parseWord();
-            Pattern pattern;
-            if (pat == "map")
-                pattern = Pattern::Map;
-            else if (pat == "reduce")
-                pattern = Pattern::Reduce;
-            else
-                c.fail("unknown pattern '" + pat + "'");
-            c.expectSpace();
-            c.expect("combine=");
-            Op combine = parseOp(c);
-            c.expectSpace();
-            c.expect("accum=");
-            NodeId accum = c.parseRef();
-            c.expectSpace();
-            c.expect("body=");
-            NodeId body = c.parseRef();
-            c.expectSpace();
-            c.expect("children=");
-            auto children = parseRefList(c);
-            ControllerNode* n = nullptr;
-            if (kind == "pipe")
-                n = &gr.make<PipeNode>(std::move(name));
-            else if (kind == "seq")
-                n = &gr.make<SequentialNode>(std::move(name));
-            else if (kind == "parallel")
-                n = &gr.make<ParallelNode>(std::move(name));
-            else
-                n = &gr.make<MetaPipeNode>(std::move(name));
-            n->counter = counter;
-            n->par = par;
-            n->toggle = toggle;
-            n->pattern = pattern;
-            n->combine = combine;
-            n->accum = accum;
-            n->bodyResult = body;
-            n->children = std::move(children);
-            made = n;
-        } else if (kind == "tileld" || kind == "tilest") {
-            c.expectSpace();
-            c.expect("off=");
-            NodeId off = c.parseRef();
-            c.expectSpace();
-            c.expect("on=");
-            NodeId on = c.parseRef();
-            c.expectSpace();
-            c.expect("base=");
-            auto base = parseRefList(c);
-            c.expectSpace();
-            c.expect("extent=");
-            auto extent = parseSymList(c);
-            c.expectSpace();
-            c.expect("par=");
-            Sym par = c.parseSym(np);
-            if (kind == "tileld") {
-                auto& n = gr.make<TileLdNode>(std::move(name), off, on);
-                n.base = std::move(base);
-                n.extent = std::move(extent);
-                n.par = par;
-                made = &n;
-            } else {
-                auto& n = gr.make<TileStNode>(std::move(name), off, on);
-                n.base = std::move(base);
-                n.extent = std::move(extent);
-                n.par = par;
-                made = &n;
-            }
-        } else {
-            c.fail("unknown node kind '" + kind + "'");
+            c.expectKey(f.key);
+            readField(c, f, n);
         }
-        made->parent = parent;
+        if (k->derive)
+            k->derive(n);
         c.expectEnd();
+    }
+
+    void
+    readField(Cursor& c, const ir::Field& f, Node& n)
+    {
+        using F = ir::FieldType;
+        size_t np = g().params().size();
+        auto ref = [&c] { return c.parseRef(); };
+        auto sym = [&c, np] { return c.parseSym(np); };
+        auto list = [&c, &f](auto item) {
+            auto v = c.parseList(item);
+            if (f.rule.nonEmpty && v.empty())
+                c.fail(std::string(f.key) + " needs at least one entry");
+            return v;
+        };
+        switch (f.type) {
+          case F::Ref: ir::get<F::Ref>(f, n) = ref(); break;
+          case F::RefList: ir::get<F::RefList>(f, n) = list(ref); break;
+          case F::Sym: ir::get<F::Sym>(f, n) = sym(); break;
+          case F::SymList: ir::get<F::SymList>(f, n) = list(sym); break;
+          case F::DType: ir::get<F::DType>(f, n) = c.parseDType(); break;
+          case F::Double: ir::get<F::Double>(f, n) = c.parseDouble(); break;
+          case F::Int: {
+            int64_t v = c.parseInt();
+            if (v < 0 || v > ir::kMaxFieldInt)
+                c.fail(std::string(f.key) + " out of range");
+            ir::get<F::Int>(f, n) = int(v);
+            break;
+          }
+          case F::Op:
+            ir::get<F::Op>(f, n) = c.parseName(opName, Op::ToFixed, "op");
+            break;
+          case F::Pattern:
+            ir::get<F::Pattern>(f, n) =
+                c.parseName(ir::patternName, Pattern::Reduce, "pattern");
+            break;
+          case F::CtrDims:
+            ir::get<F::CtrDims>(f, n) = list([&c, &sym] {
+                CtrDim d;
+                d.min = sym();
+                c.expect(":");
+                d.max = sym();
+                c.expect(":");
+                d.step = sym();
+                return d;
+            });
+            break;
+        }
     }
 
     // ---- Whole-graph validation -------------------------------------------
@@ -797,42 +628,57 @@ class Parser
         throw ParseFail{os.str()};
     }
 
+    /** A reference held by field f of node `at`, against f's Rule. */
     void
-    checkRef(NodeId at, NodeId ref, bool allow_none, const char* what)
+    checkRef(NodeId at, const ir::Field& f, NodeId ref)
     {
+        auto bad = [&](const char* why) {
+            vfail(at, std::string("'") + f.key + "' " + why);
+        };
         if (ref == kNoNode) {
-            if (!allow_none)
-                vfail(at, std::string(what) + " must not be '_'");
+            if (!f.rule.optional)
+                bad("must not be '_'");
             return;
         }
         if (ref < 0 || size_t(ref) >= g().numNodes())
-            vfail(at, std::string(what) + " reference out of range");
+            bad("reference out of range");
+        if (f.rule.data && ref >= at)
+            bad("must reference an earlier node");
+        const Node& to = g().node(ref);
+        bool fits = true;
+        switch (f.rule.target) {
+          case ir::Target::Any: break;
+          case ir::Target::Memory: fits = to.isMemory(); break;
+          case ir::Target::Counter:
+            fits = to.kind() == NodeKind::Counter;
+            break;
+          case ir::Target::OffChip:
+            fits = to.kind() == NodeKind::OffChipMem;
+            break;
+        }
+        if (!fits)
+            bad("references a node of the wrong kind");
     }
 
+    /** Every reference field of a node, then its kind's own check. */
     void
-    checkKind(NodeId at, NodeId /*ref*/, bool ok, const char* what)
+    checkFields(NodeId id)
     {
-        if (!ok)
-            vfail(at, std::string(what) +
-                      " references a node of the wrong kind");
-    }
-
-    /**
-     * Data operands (prim inputs, load/store addresses, store values,
-     * transfer bases) must reference strictly earlier nodes. The
-     * builder only ever produces such graphs ("ids are topologically
-     * ordered by construction") and every downstream consumer —
-     * constant folding, the functional simulator, critical-path
-     * analysis — relies on it; a forward or self data edge from a
-     * hostile file could otherwise drive a traversal in circles.
-     */
-    void
-    checkData(NodeId at, NodeId ref, const char* what)
-    {
-        checkRef(at, ref, false, what);
-        if (ref >= at)
-            vfail(at, std::string(what) +
-                      " must reference an earlier node");
+        using F = ir::FieldType;
+        const Node& node = g().node(id);
+        const ir::KindSchema& k = ir::schemaOf(node.kind());
+        for (const ir::Field& f : k.fields) {
+            if (f.type == F::Ref)
+                checkRef(id, f, ir::get<F::Ref>(f, node));
+            else if (f.type == F::RefList) {
+                for (NodeId r : ir::get<F::RefList>(f, node))
+                    checkRef(id, f, r);
+            }
+        }
+        if (k.check) {
+            if (const char* why = k.check(g(), node))
+                vfail(id, why);
+        }
     }
 
     void
@@ -844,10 +690,13 @@ class Parser
         // Parent links: in range, controllers only, acyclic.
         for (NodeId id = 0; id < NodeId(n); ++id) {
             NodeId p = gr.node(id).parent;
-            checkRef(id, p, true, "parent");
+            if (p == kNoNode)
+                continue;
+            if (p < 0 || size_t(p) >= n)
+                vfail(id, "parent reference out of range");
             if (p == id)
                 vfail(id, "node is its own parent");
-            if (p != kNoNode && !gr.node(p).isController())
+            if (!gr.node(p).isController())
                 vfail(id, "parent is not a controller");
         }
         for (NodeId id = 0; id < NodeId(n); ++id) {
@@ -860,97 +709,24 @@ class Parser
             }
         }
 
+        // Per-field references, then the children forest.
         std::vector<bool> is_child(n, false);
         for (NodeId id = 0; id < NodeId(n); ++id) {
-            const Node& node = gr.node(id);
-            switch (node.kind()) {
-              case NodeKind::Prim: {
-                const auto& pr = gr.nodeAs<PrimNode>(id);
-                for (NodeId in : pr.inputs)
-                    checkData(id, in, "input");
-                checkRef(id, pr.counter, true, "ctr");
-                if (pr.counter != kNoNode) {
-                    const auto* cn = gr.tryAs<CounterNode>(pr.counter);
-                    checkKind(id, pr.counter, cn != nullptr, "ctr");
-                    if (pr.ctrDim < 0 ||
-                        size_t(pr.ctrDim) >= cn->dims.size())
-                        vfail(id, "counter dimension out of range");
-                } else if (pr.op == Op::Iter) {
-                    vfail(id, "iter prim needs a counter");
-                }
-                break;
-              }
-              case NodeKind::Load: {
-                const auto& l = gr.nodeAs<LoadNode>(id);
-                checkRef(id, l.mem, false, "mem");
-                checkKind(id, l.mem, gr.node(l.mem).isMemory(), "mem");
-                for (NodeId a : l.addr)
-                    checkData(id, a, "addr");
-                break;
-              }
-              case NodeKind::Store: {
-                const auto& s = gr.nodeAs<StoreNode>(id);
-                checkRef(id, s.mem, false, "mem");
-                checkKind(id, s.mem, gr.node(s.mem).isMemory(), "mem");
-                checkData(id, s.value, "value");
-                for (NodeId a : s.addr)
-                    checkData(id, a, "addr");
-                break;
-              }
-              case NodeKind::Pipe:
-              case NodeKind::Sequential:
-              case NodeKind::ParallelCtrl:
-              case NodeKind::MetaPipe: {
-                const auto& ct = gr.nodeAs<ControllerNode>(id);
-                checkRef(id, ct.counter, true, "counter");
-                if (ct.counter != kNoNode)
-                    checkKind(id, ct.counter,
-                              gr.tryAs<CounterNode>(ct.counter) !=
-                                  nullptr,
-                              "counter");
-                checkRef(id, ct.accum, true, "accum");
-                checkRef(id, ct.bodyResult, true, "body");
-                for (NodeId ch : ct.children) {
-                    checkRef(id, ch, false, "child");
-                    if (ch == id)
-                        vfail(id, "controller lists itself as child");
-                    if (gr.node(ch).kind() == NodeKind::Counter)
-                        vfail(id, "counters attach via counter=, "
-                                  "never as children");
-                    if (gr.node(ch).parent != id)
-                        vfail(id, "child's parent link disagrees with "
-                                  "children list");
-                    if (is_child[size_t(ch)])
-                        vfail(id, "node listed as child twice");
-                    is_child[size_t(ch)] = true;
-                }
-                break;
-              }
-              case NodeKind::TileLd:
-              case NodeKind::TileSt: {
-                NodeId off, on;
-                const std::vector<NodeId>* base;
-                if (node.kind() == NodeKind::TileLd) {
-                    const auto& t = gr.nodeAs<TileLdNode>(id);
-                    off = t.offchip; on = t.onchip; base = &t.base;
-                } else {
-                    const auto& t = gr.nodeAs<TileStNode>(id);
-                    off = t.offchip; on = t.onchip; base = &t.base;
-                }
-                checkRef(id, off, false, "off");
-                checkKind(id, off,
-                          gr.node(off).kind() == NodeKind::OffChipMem,
-                          "off");
-                checkRef(id, on, false, "on");
-                checkKind(id, on, gr.node(on).isMemory(), "on");
-                for (NodeId b : *base) {
-                    if (b != kNoNode)
-                        checkData(id, b, "base");
-                }
-                break;
-              }
-              default:
-                break; // memories and counters hold no node refs
+            checkFields(id);
+            if (!gr.node(id).isController())
+                continue;
+            for (NodeId ch : gr.nodeAs<ControllerNode>(id).children) {
+                if (ch == id)
+                    vfail(id, "controller lists itself as child");
+                if (gr.node(ch).kind() == NodeKind::Counter)
+                    vfail(id, "counters attach via counter=, "
+                              "never as children");
+                if (gr.node(ch).parent != id)
+                    vfail(id, "child's parent link disagrees with "
+                              "children list");
+                if (is_child[size_t(ch)])
+                    vfail(id, "node listed as child twice");
+                is_child[size_t(ch)] = true;
             }
         }
 

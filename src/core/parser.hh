@@ -9,8 +9,10 @@
  * never exhibits UB. Malformed, truncated, oversized or structurally
  * inconsistent files (dangling references, parent cycles, children
  * that disagree with parent links) produce a Status carrying a
- * structured Diag with DiagCode::ParseError and the offending line
- * number. See DESIGN.md for the grammar.
+ * structured Diag with DiagCode::ParseError naming the offending line,
+ * or the node or statement when the fault spans lines. Node lines are
+ * read through the per-kind field table of core/irschema.hh. See
+ * DESIGN.md for the grammar.
  */
 
 #ifndef DHDL_CORE_PARSER_HH

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <sstream>
 
+#include "core/irschema.hh"
+
 namespace dhdl {
 
 std::string
@@ -193,91 +195,7 @@ printGraph(const Graph& g)
 
 // ---- Canonical `.dhdl` IR emission -----------------------------------------
 
-std::string
-symIR(const Sym& s)
-{
-    if (!s.isParam())
-        return std::to_string(s.constant());
-    std::string out = "$" + std::to_string(s.param());
-    if (s.offset() > 0)
-        out += "+" + std::to_string(s.offset());
-    else if (s.offset() < 0)
-        out += std::to_string(s.offset());
-    return out;
-}
-
-std::string
-dtypeIR(const DType& t)
-{
-    std::ostringstream os;
-    switch (t.kind) {
-      case TypeKind::Float:
-        if (t.sign && t.fieldA == 8 && t.fieldB == 23)
-            return "f32";
-        if (t.sign && t.fieldA == 11 && t.fieldB == 52)
-            return "f64";
-        os << (t.sign ? "flt<" : "uflt<") << int(t.fieldA) << ","
-           << int(t.fieldB) << ">";
-        return os.str();
-      case TypeKind::Fixed:
-        if (t.fieldB == 0) {
-            os << (t.sign ? "i" : "u") << int(t.fieldA);
-            return os.str();
-        }
-        os << (t.sign ? "fix<" : "ufix<") << int(t.fieldA) << ","
-           << int(t.fieldB) << ">";
-        return os.str();
-      case TypeKind::Bit:
-        return "bit";
-    }
-    return "bit";
-}
-
-std::string
-doubleIR(double v)
-{
-    // Shortest form that parses back to the exact same bits.
-    char buf[64];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
-
 namespace {
-
-/** Keyword of a node kind in the IR (lower-case, parser-matched). */
-const char*
-irKindName(NodeKind k)
-{
-    switch (k) {
-      case NodeKind::Prim: return "prim";
-      case NodeKind::Load: return "ld";
-      case NodeKind::Store: return "st";
-      case NodeKind::OffChipMem: return "offchipmem";
-      case NodeKind::Bram: return "bram";
-      case NodeKind::Reg: return "reg";
-      case NodeKind::Queue: return "queue";
-      case NodeKind::Counter: return "counter";
-      case NodeKind::Pipe: return "pipe";
-      case NodeKind::Sequential: return "seq";
-      case NodeKind::ParallelCtrl: return "parallel";
-      case NodeKind::MetaPipe: return "metapipe";
-      case NodeKind::TileLd: return "tileld";
-      case NodeKind::TileSt: return "tilest";
-    }
-    return "?";
-}
-
-const char*
-paramKindIR(ParamKind k)
-{
-    switch (k) {
-      case ParamKind::TileSize: return "tile";
-      case ParamKind::ParFactor: return "par";
-      case ParamKind::Toggle: return "toggle";
-      case ParamKind::Fixed: return "fixed";
-    }
-    return "fixed";
-}
 
 /** Emitter for the canonical IR text. */
 class IREmitter
@@ -288,213 +206,177 @@ class IREmitter
     std::string
     run()
     {
-        os_ << "dhdl 1\n";
-        os_ << "design ";
+        out_ += "dhdl 1\ndesign ";
         quoted(g_.name());
-        os_ << "\n";
+        out_ += '\n';
         const ParamTable& pt = g_.params();
         for (ParamId p = 0; p < ParamId(pt.size()); ++p) {
             const ParamDef& d = pt[p];
-            os_ << "param ";
+            out_ += "param ";
             quoted(d.name);
-            os_ << " kind=" << paramKindIR(d.kind)
-                << " default=" << d.defaultValue
-                << " divisor_of=" << d.divisorOf
-                << " min=" << d.minValue
-                << " max=" << d.maxValue << "\n";
+            out_ += " kind=";
+            out_ += ir::paramKindName(d.kind);
+            for (const auto& [key, member] : ir::kParamInts) {
+                out_ += ' ';
+                out_ += key;
+                out_ += '=';
+                num(d.*member);
+            }
+            out_ += '\n';
         }
         for (const Constraint& c : g_.constraints)
-            os_ << "constraint " << c.str() << "\n";
-        for (NodeId id = 0; id < NodeId(g_.numNodes()); ++id)
-            emitNode(id);
-        os_ << "root ";
+            out_ += "constraint " + c.str() + "\n";
+        for (NodeId id = 0; id < NodeId(g_.numNodes()); ++id) {
+            const Node& n = g_.node(id);
+            const ir::KindSchema& k = ir::schemaOf(n.kind());
+            out_ += "node %";
+            num(id);
+            out_ += ' ';
+            out_ += k.keyword;
+            out_ += ' ';
+            quoted(n.name());
+            out_ += " parent=";
+            ref(n.parent);
+            for (const ir::Field& f : k.fields) {
+                out_ += ' ';
+                out_ += f.key;
+                out_ += '=';
+                value(f, n);
+            }
+            out_ += '\n';
+        }
+        out_ += "root ";
         ref(g_.root);
-        os_ << "\n";
-        os_ << "offchip ";
-        refList(g_.offchipMems);
-        os_ << "\n";
-        os_ << "end\n";
-        return os_.str();
+        out_ += "\noffchip ";
+        list(g_.offchipMems, [this](NodeId id) { ref(id); });
+        out_ += "\nend\n";
+        return std::move(out_);
     }
 
   private:
+    /** An integer, or a double in the shortest form that round-trips. */
+    template <class T>
+    void
+    num(T v)
+    {
+        char buf[64];
+        auto res = std::to_chars(buf, buf + sizeof(buf), v);
+        out_.append(buf, res.ptr);
+    }
+
     void
     quoted(const std::string& s)
     {
-        os_ << '"';
+        out_ += '"';
         for (char ch : s) {
             switch (ch) {
-              case '"': os_ << "\\\""; break;
-              case '\\': os_ << "\\\\"; break;
-              case '\n': os_ << "\\n"; break;
-              case '\t': os_ << "\\t"; break;
-              case '\r': os_ << "\\r"; break;
-              default: os_ << ch; break;
+              case '"': out_ += "\\\""; break;
+              case '\\': out_ += "\\\\"; break;
+              case '\n': out_ += "\\n"; break;
+              case '\t': out_ += "\\t"; break;
+              case '\r': out_ += "\\r"; break;
+              default: out_ += ch; break;
             }
         }
-        os_ << '"';
+        out_ += '"';
     }
 
     void
     ref(NodeId id)
     {
-        if (id == kNoNode)
-            os_ << "_";
-        else
-            os_ << "%" << id;
+        if (id == kNoNode) {
+            out_ += '_';
+        } else {
+            out_ += '%';
+            num(id);
+        }
     }
 
+    /** `7`, `$2`, `$2+4` or `$2-1`. */
     void
-    refList(const std::vector<NodeId>& ids)
+    sym(const Sym& s)
     {
-        os_ << "[";
-        for (size_t i = 0; i < ids.size(); ++i) {
+        if (!s.isParam())
+            return num(s.constant());
+        out_ += '$';
+        num(s.param());
+        if (s.offset() > 0)
+            out_ += '+';
+        if (s.offset() != 0)
+            num(s.offset());
+    }
+
+    /** Lossless type spelling, e.g. `f32`, `u8`, `fix<16,16>`. */
+    void
+    dtype(const DType& t)
+    {
+        const bool flt = t.kind == TypeKind::Float;
+        if (t.kind == TypeKind::Bit) {
+            out_ += "bit";
+        } else if (flt && t.sign && t.fieldA == 8 && t.fieldB == 23) {
+            out_ += "f32";
+        } else if (flt && t.sign && t.fieldA == 11 && t.fieldB == 52) {
+            out_ += "f64";
+        } else if (!flt && t.fieldB == 0) {
+            out_ += t.sign ? "i" : "u";
+            num(int(t.fieldA));
+        } else {
+            out_ += t.sign ? "" : "u";
+            out_ += flt ? "flt<" : "fix<";
+            num(int(t.fieldA));
+            out_ += ',';
+            num(int(t.fieldB));
+            out_ += '>';
+        }
+    }
+
+    template <class T, class Item>
+    void
+    list(const std::vector<T>& xs, Item item)
+    {
+        out_ += '[';
+        for (size_t i = 0; i < xs.size(); ++i) {
             if (i)
-                os_ << ",";
-            ref(ids[i]);
+                out_ += ',';
+            item(xs[i]);
         }
-        os_ << "]";
+        out_ += ']';
     }
 
     void
-    symList(const std::vector<Sym>& syms)
+    value(const ir::Field& f, const Node& n)
     {
-        os_ << "[";
-        for (size_t i = 0; i < syms.size(); ++i) {
-            if (i)
-                os_ << ",";
-            os_ << symIR(syms[i]);
+        using F = ir::FieldType;
+        switch (f.type) {
+          case F::Ref: ref(ir::get<F::Ref>(f, n)); break;
+          case F::RefList:
+            list(ir::get<F::RefList>(f, n), [this](NodeId id) { ref(id); });
+            break;
+          case F::Sym: sym(ir::get<F::Sym>(f, n)); break;
+          case F::SymList:
+            list(ir::get<F::SymList>(f, n), [this](const Sym& s) { sym(s); });
+            break;
+          case F::DType: dtype(ir::get<F::DType>(f, n)); break;
+          case F::Double: num(ir::get<F::Double>(f, n)); break;
+          case F::Int: num(ir::get<F::Int>(f, n)); break;
+          case F::Op: out_ += opName(ir::get<F::Op>(f, n)); break;
+          case F::Pattern:
+            out_ += ir::patternName(ir::get<F::Pattern>(f, n));
+            break;
+          case F::CtrDims:
+            list(ir::get<F::CtrDims>(f, n), [&](const CtrDim& d) {
+                sym(d.min);
+                out_ += ':';
+                sym(d.max);
+                out_ += ':';
+                sym(d.step);
+            });
+            break;
         }
-        os_ << "]";
-    }
-
-    void
-    emitNode(NodeId id)
-    {
-        const Node& n = g_.node(id);
-        os_ << "node %" << id << " " << irKindName(n.kind()) << " ";
-        quoted(n.name());
-        os_ << " parent=";
-        ref(n.parent);
-        switch (n.kind()) {
-          case NodeKind::Prim: {
-            const auto& p = g_.nodeAs<PrimNode>(id);
-            os_ << " op=" << opName(p.op)
-                << " type=" << dtypeIR(p.type)
-                << " val=" << doubleIR(p.constValue) << " in=";
-            refList(p.inputs);
-            os_ << " ctr=";
-            ref(p.counter);
-            os_ << " dim=" << p.ctrDim;
-            break;
-          }
-          case NodeKind::Load: {
-            const auto& l = g_.nodeAs<LoadNode>(id);
-            os_ << " mem=";
-            ref(l.mem);
-            os_ << " type=" << dtypeIR(l.type) << " addr=";
-            refList(l.addr);
-            break;
-          }
-          case NodeKind::Store: {
-            const auto& s = g_.nodeAs<StoreNode>(id);
-            os_ << " mem=";
-            ref(s.mem);
-            os_ << " value=";
-            ref(s.value);
-            os_ << " addr=";
-            refList(s.addr);
-            break;
-          }
-          case NodeKind::OffChipMem: {
-            const auto& m = g_.nodeAs<OffChipMemNode>(id);
-            os_ << " type=" << dtypeIR(m.type) << " dims=";
-            symList(m.dims);
-            break;
-          }
-          case NodeKind::Bram: {
-            const auto& m = g_.nodeAs<BramNode>(id);
-            os_ << " type=" << dtypeIR(m.type) << " dims=";
-            symList(m.dims);
-            os_ << " banks=" << m.forcedBanks;
-            break;
-          }
-          case NodeKind::Reg: {
-            const auto& m = g_.nodeAs<RegNode>(id);
-            os_ << " type=" << dtypeIR(m.type)
-                << " init=" << doubleIR(m.init);
-            break;
-          }
-          case NodeKind::Queue: {
-            const auto& m = g_.nodeAs<QueueNode>(id);
-            os_ << " type=" << dtypeIR(m.type)
-                << " depth=" << symIR(m.depth);
-            break;
-          }
-          case NodeKind::Counter: {
-            const auto& c = g_.nodeAs<CounterNode>(id);
-            os_ << " dims=[";
-            for (size_t i = 0; i < c.dims.size(); ++i) {
-                if (i)
-                    os_ << ",";
-                os_ << symIR(c.dims[i].min) << ":"
-                    << symIR(c.dims[i].max) << ":"
-                    << symIR(c.dims[i].step);
-            }
-            os_ << "]";
-            break;
-          }
-          case NodeKind::Pipe:
-          case NodeKind::Sequential:
-          case NodeKind::ParallelCtrl:
-          case NodeKind::MetaPipe: {
-            const auto& c = g_.nodeAs<ControllerNode>(id);
-            os_ << " counter=";
-            ref(c.counter);
-            os_ << " par=" << symIR(c.par)
-                << " toggle=" << symIR(c.toggle)
-                << " pattern="
-                << (c.pattern == Pattern::Reduce ? "reduce" : "map")
-                << " combine=" << opName(c.combine) << " accum=";
-            ref(c.accum);
-            os_ << " body=";
-            ref(c.bodyResult);
-            os_ << " children=";
-            refList(c.children);
-            break;
-          }
-          case NodeKind::TileLd:
-          case NodeKind::TileSt: {
-            NodeId off, on;
-            const std::vector<NodeId>* base;
-            const std::vector<Sym>* extent;
-            Sym par;
-            if (n.kind() == NodeKind::TileLd) {
-                const auto& t = g_.nodeAs<TileLdNode>(id);
-                off = t.offchip; on = t.onchip;
-                base = &t.base; extent = &t.extent; par = t.par;
-            } else {
-                const auto& t = g_.nodeAs<TileStNode>(id);
-                off = t.offchip; on = t.onchip;
-                base = &t.base; extent = &t.extent; par = t.par;
-            }
-            os_ << " off=";
-            ref(off);
-            os_ << " on=";
-            ref(on);
-            os_ << " base=";
-            refList(*base);
-            os_ << " extent=";
-            symList(*extent);
-            os_ << " par=" << symIR(par);
-            break;
-          }
-        }
-        os_ << "\n";
     }
 
     const Graph& g_;
-    std::ostringstream os_;
+    std::string out_;
 };
 
 } // namespace

@@ -5,8 +5,8 @@
  *  - printGraph(): human-readable indented hierarchy for examples and
  *    reports. Lossy by design (iterators and wiring details elided).
  *  - emitIR(): the canonical `.dhdl` text form. Deterministic, prints
- *    every field of every node, and is parsed back byte-identically by
- *    core/parser (see DESIGN.md for the grammar). This is the on-disk
+ *    every field of every node (as listed in core/irschema.hh), and is
+ *    parsed back byte-identically by core/parser (see DESIGN.md). This is the on-disk
  *    interchange format of the whole toolchain: `dhdlc emit-ir` writes
  *    it and every dhdlc command accepts it in place of an app name.
  */
@@ -33,15 +33,6 @@ std::string symStr(const Graph& g, const Sym& s);
  * graph whose emitIR() is byte-identical.
  */
 std::string emitIR(const Graph& g);
-
-/** Canonical IR spelling of one Sym: `7`, `$2`, `$2+4` or `$2-1`. */
-std::string symIR(const Sym& s);
-
-/** Canonical IR spelling of a type, e.g. `f32`, `u8`, `fix<16,16>`. */
-std::string dtypeIR(const DType& t);
-
-/** Canonical IR spelling of a double (shortest round-trip form). */
-std::string doubleIR(double v);
 
 } // namespace dhdl
 

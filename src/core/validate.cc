@@ -100,14 +100,36 @@ class Validator
             checkController(g_.nodeAs<ControllerNode>(id));
             break;
           case NodeKind::TileLd:
-            checkTileLd(g_.nodeAs<TileLdNode>(id));
+            checkTile(g_.nodeAs<TileLdNode>(id), "source", "destination");
             break;
           case NodeKind::TileSt:
-            checkTileSt(g_.nodeAs<TileStNode>(id));
+            checkTile(g_.nodeAs<TileStNode>(id), "destination", "source");
+            break;
+          case NodeKind::OffChipMem:
+          case NodeKind::Bram:
+            for (const Sym& d : g_.nodeAs<MemNode>(id).dims)
+                checkSize(id, d, "memory dimension");
+            break;
+          case NodeKind::Queue:
+            checkSize(id, g_.nodeAs<QueueNode>(id).depth, "queue depth");
+            break;
+          case NodeKind::Counter:
+            // min and max may be 0; a step below 1 never advances.
+            for (const CtrDim& d : g_.nodeAs<CounterNode>(id).dims)
+                checkSize(id, d.step, "counter step");
             break;
           default:
             break;
         }
+    }
+
+    /** A constant size must be at least 1; parameters bind later. */
+    void
+    checkSize(NodeId id, const Sym& s, const char* what)
+    {
+        if (!s.isParam() && s.constant() < 1)
+            err(id, std::string(what) + " " +
+                        std::to_string(s.constant()) + " is below 1");
     }
 
     void
@@ -195,38 +217,27 @@ class Validator
             err(c.id(), "Parallel containers cannot carry a counter");
     }
 
+    /**
+     * TileLd moves an OffChipMem tile into a BRAM, TileSt moves it
+     * back; `off_role`/`on_role` name the two ends in messages.
+     */
+    template <class T>
     void
-    checkTileLd(const TileLdNode& n)
+    checkTile(const T& n, const char* off_role, const char* on_role)
     {
+        const std::string k = kindName(n.kind());
         const auto* off = g_.tryAs<OffChipMemNode>(n.offchip);
-        const auto* dst = g_.tryAs<BramNode>(n.onchip);
+        const auto* bram = g_.tryAs<BramNode>(n.onchip);
         if (!off)
-            err(n.id(), "TileLd source is not an OffChipMem");
-        if (!dst)
-            err(n.id(), "TileLd destination is not a BRAM");
+            err(n.id(), k + " " + off_role + " is not an OffChipMem");
+        if (!bram)
+            err(n.id(), k + " " + on_role + " is not a BRAM");
         if (off && n.extent.size() != off->dims.size())
-            err(n.id(), "TileLd extent rank != off-chip rank");
-        if (dst && n.extent.size() != dst->dims.size())
-            err(n.id(), "TileLd extent rank != BRAM rank");
-        for (NodeId b : n.base) {
-            if (b != kNoNode)
-                checkOperand(n.id(), b, "tile base address");
-        }
-    }
-
-    void
-    checkTileSt(const TileStNode& n)
-    {
-        const auto* off = g_.tryAs<OffChipMemNode>(n.offchip);
-        const auto* src = g_.tryAs<BramNode>(n.onchip);
-        if (!off)
-            err(n.id(), "TileSt destination is not an OffChipMem");
-        if (!src)
-            err(n.id(), "TileSt source is not a BRAM");
-        if (off && n.extent.size() != off->dims.size())
-            err(n.id(), "TileSt extent rank != off-chip rank");
-        if (src && n.extent.size() != src->dims.size())
-            err(n.id(), "TileSt extent rank != BRAM rank");
+            err(n.id(), k + " extent rank != off-chip rank");
+        if (bram && n.extent.size() != bram->dims.size())
+            err(n.id(), k + " extent rank != BRAM rank");
+        for (const Sym& e : n.extent)
+            checkSize(n.id(), e, "tile extent");
         for (NodeId b : n.base) {
             if (b != kNoNode)
                 checkOperand(n.id(), b, "tile base address");

@@ -2,7 +2,9 @@
  * @file
  * Structural validation of DHDL graphs. Catches malformed designs
  * (user errors) before analysis or simulation: controller nesting
- * rules, operand arity, address arity, reduce wiring, and acyclicity.
+ * rules, operand arity, address arity, reduce wiring, acyclicity, and
+ * constant sizes (memory dims, tile extents, queue depths, counter
+ * steps) of at least 1.
  */
 
 #ifndef DHDL_CORE_VALIDATE_HH

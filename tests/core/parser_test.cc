@@ -326,6 +326,25 @@ TEST(ParserTest, NodeLevelErrorsRejected)
                  "counter listed as child");
 }
 
+TEST(ParserTest, ParameterErrorsCarryTheirLineNumber)
+{
+    const std::string head = "dhdl 1\ndesign \"t\"\n";
+    const std::string rest =
+        "node %0 seq \"accel\" parent=_ counter=_ par=1 toggle=1 "
+        "pattern=map combine=add accum=_ body=_ children=[]\n"
+        "root %0\noffchip []\nend\n";
+    for (const char* param :
+         {"param \"\" kind=tile default=1 divisor_of=0 min=1 max=1\n",
+          "param \"p\" kind=tile default=1 divisor_of=0 min=2 max=1\n"}) {
+        ParseResult res = parseIR(head + param + rest);
+        ASSERT_FALSE(res.ok()) << param;
+        const std::string& msg = res.status.diag().message;
+        EXPECT_EQ(res.status.diag().code, DiagCode::ParseError);
+        EXPECT_EQ(msg.rfind("line 3: ", 0), 0u) << msg;
+        EXPECT_EQ(msg.find("internal"), std::string::npos) << msg;
+    }
+}
+
 TEST(ParserTest, LexicalErrorsRejected)
 {
     const std::string head = "dhdl 1\ndesign \"t\"\n";

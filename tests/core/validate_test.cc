@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.hh"
+#include "core/parser.hh"
+#include "core/printer.hh"
 #include "core/validate.hh"
 
 namespace dhdl {
@@ -136,6 +138,74 @@ TEST(ValidateTest, ValidateOrThrowThrowsWithAllMessages)
                });
     });
     EXPECT_THROW(validateOrThrow(d.graph()), FatalError);
+}
+
+/**
+ * A small design whose constant sizes are all distinct, so one
+ * textual replacement in its IR hits exactly one of them: off-chip
+ * dims 24, BRAM dims 12, tile extent 6, queue depth 16 and a counter
+ * 0..8 by 1.
+ */
+std::string
+sizedDesignIR()
+{
+    Design d("sized");
+    Mem x = d.offchip("x", DType::f32(), {Sym::c(24)});
+    d.accel([&](Scope& s) {
+        Mem t = s.bram("t", DType::f32(), {Sym::c(12)});
+        s.tileLoad(x, t, {}, {Sym::c(6)});
+        s.queue("q", DType::f32(), Sym::c(16));
+        Mem r = s.reg("r", DType::f32());
+        s.pipe("P", {ctr(8)}, Sym::c(1),
+               [&](Scope& p, std::vector<Val> ii) {
+                   p.store(r, {p.constant(0.0, DType::i32())},
+                           p.load(t, {ii[0]}));
+               });
+    });
+    return emitIR(d.graph());
+}
+
+/** Validate the parsed sized design with `from` replaced by `to`. */
+std::vector<std::string>
+validateEdited(const std::string& from, const std::string& to)
+{
+    std::string text = sizedDesignIR();
+    size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at == std::string::npos)
+        return {};
+    EXPECT_EQ(text.find(from, at + 1), std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    ParseResult res = parseIR(text);
+    EXPECT_TRUE(res.ok()) << res.status.diag().str();
+    return res.ok() ? validate(*res.graph) : std::vector<std::string>{};
+}
+
+TEST(ValidateTest, ParsedConstantSizesBelowOneFlagged)
+{
+    // The design as built, and with counter bounds of 0, is valid.
+    for (const char* bounds : {"dims=[0:8:1]", "dims=[0:0:1]"}) {
+        auto errs = validateEdited("dims=[0:8:1]", bounds);
+        EXPECT_TRUE(errs.empty()) << (errs.empty() ? "" : errs[0]);
+    }
+    const struct {
+        const char* from;
+        const char* to;
+        const char* what;
+    } cases[] = {
+        {"dims=[24]", "dims=[0]", "memory dimension 0"},
+        {"dims=[12]", "dims=[-5]", "memory dimension -5"},
+        {"extent=[6]", "extent=[0]", "tile extent 0"},
+        {"depth=16", "depth=-1", "queue depth -1"},
+        {"dims=[0:8:1]", "dims=[0:8:0]", "counter step 0"},
+    };
+    for (const auto& c : cases) {
+        auto errs = validateEdited(c.from, c.to);
+        ASSERT_EQ(errs.size(), 1u) << c.to;
+        EXPECT_NE(errs[0].find(std::string(c.what) + " is below 1"),
+                  std::string::npos)
+            << errs[0];
+    }
 }
 
 } // namespace

@@ -205,6 +205,24 @@ TEST_P(ToggleProperty, OverlapNeverHurtsRuntime)
     }
 }
 
+/** Bitwise double equality: -0.0 != +0.0, NaNs compare by payload. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** A cycle count and every area field. */
+std::array<double, 15>
+fieldsOf(double cycles, const est::AreaEstimate& a)
+{
+    return {cycles,        a.raw.lutsPack, a.raw.lutsNoPack,
+            a.raw.regs,    a.raw.dsps,     a.raw.brams,
+            a.routeLuts,   a.dupRegs,      a.unavailLuts,
+            a.dupBrams,    a.alms,         a.luts,
+            a.regs,        a.dsps,         a.brams};
+}
+
 /**
  * Randomized builder graphs: nested controllers, mixed datatypes,
  * reductions and tile transfers chosen by a seeded Rng, plus a
@@ -349,25 +367,27 @@ TEST_P(RoundTripProperty, RandomGraphsRoundTripByteIdentical)
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(emitIR(*again.graph), first);
     EXPECT_TRUE(validate(*again.graph).empty());
-}
 
-/** Bitwise double equality: -0.0 != +0.0, NaNs compare by payload. */
-bool
-sameBits(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof a) == 0;
-}
-
-/** A point's cycle count and every area field. */
-std::array<double, 15>
-fieldsOf(const dse::DesignPoint& p)
-{
-    const est::AreaEstimate& a = p.area;
-    return {p.cycles,      a.raw.lutsPack, a.raw.lutsNoPack,
-            a.raw.regs,    a.raw.dsps,     a.raw.brams,
-            a.routeLuts,   a.dupRegs,      a.unavailLuts,
-            a.dupBrams,    a.alms,         a.luts,
-            a.regs,        a.dsps,         a.brams};
+    // Bytes cannot show the fields emitIR leaves out (a Queue's and a
+    // Reg's dims, which constructors derive); the parsed graph must
+    // still size every memory and estimate exactly as the built one.
+    const Graph& built = d.graph();
+    const Graph& parsed = *res.graph;
+    ParamBinding binding = built.params().defaults();
+    Inst ib(built, binding);
+    Inst ip(parsed, binding);
+    for (NodeId id = 0; id < NodeId(built.numNodes()); ++id) {
+        if (built.node(id).isMemory()) {
+            EXPECT_EQ(ib.memElems(id), ip.memElems(id)) << "node " << id;
+        }
+    }
+    const est::AreaEstimator& area = est::calibratedEstimator();
+    est::RuntimeEstimator rt;
+    const auto fb = fieldsOf(rt.estimate(ib).cycles, area.estimate(ib));
+    const auto fp = fieldsOf(rt.estimate(ip).cycles, area.estimate(ip));
+    for (size_t f = 0; f < fb.size(); ++f)
+        EXPECT_TRUE(sameBits(fb[f], fp[f]))
+            << "field " << f << ": " << fb[f] << " vs " << fp[f];
 }
 
 TEST_P(RoundTripProperty, BatchedEvaluationMatchesScalarBitForBit)
@@ -417,7 +437,8 @@ TEST_P(RoundTripProperty, BatchedEvaluationMatchesScalarBitForBit)
             EXPECT_EQ(a.evaluated, b.evaluated) << at;
             EXPECT_EQ(a.failed, b.failed) << at;
             EXPECT_EQ(a.valid, b.valid) << at;
-            const auto fa = fieldsOf(a), fb = fieldsOf(b);
+            const auto fa = fieldsOf(a.cycles, a.area);
+            const auto fb = fieldsOf(b.cycles, b.area);
             for (size_t f = 0; f < fa.size(); ++f)
                 EXPECT_TRUE(sameBits(fa[f], fb[f]))
                     << at << " field " << f << ": " << fa[f] << " vs "
