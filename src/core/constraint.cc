@@ -134,17 +134,7 @@ Constraint::eval(const ParamBinding& b) const
 {
     auto l = lhs.eval(b);
     auto r = rhs.eval(b);
-    if (!l || !r)
-        return false;
-    switch (cmp) {
-      case CCmp::Eq: return *l == *r;
-      case CCmp::Ne: return *l != *r;
-      case CCmp::Lt: return *l < *r;
-      case CCmp::Le: return *l <= *r;
-      case CCmp::Gt: return *l > *r;
-      case CCmp::Ge: return *l >= *r;
-    }
-    return false;
+    return l && r && cmpHolds(cmp, *l, *r);
 }
 
 std::string

@@ -39,6 +39,21 @@ const char* arithName(CArith op);
 /** Token of a CCmp, e.g. "<=". */
 const char* cmpName(CCmp op);
 
+/** True when `l op r` holds. */
+inline bool
+cmpHolds(CCmp op, int64_t l, int64_t r)
+{
+    switch (op) {
+      case CCmp::Eq: return l == r;
+      case CCmp::Ne: return l != r;
+      case CCmp::Lt: return l < r;
+      case CCmp::Le: return l <= r;
+      case CCmp::Gt: return l > r;
+      case CCmp::Ge: return l >= r;
+    }
+    return false;
+}
+
 /**
  * Constraint expression: a constant, a parameter reference, or a
  * binary arithmetic node. Interior children are shared immutably, so

@@ -1,5 +1,6 @@
 #include "core/validate.hh"
 
+#include <optional>
 #include <sstream>
 
 namespace dhdl {
@@ -123,13 +124,50 @@ class Validator
         }
     }
 
-    /** A constant size must be at least 1; parameters bind later. */
+    /**
+     * A size must be at least 1: a constant as written, a parameter
+     * size at its smallest legal value plus the offset.
+     */
     void
     checkSize(NodeId id, const Sym& s, const char* what)
     {
-        if (!s.isParam() && s.constant() < 1)
-            err(id, std::string(what) + " " +
-                        std::to_string(s.constant()) + " is below 1");
+        if (!s.isParam()) {
+            if (s.constant() < 1)
+                err(id, std::string(what) + " " +
+                            std::to_string(s.constant()) + " is below 1");
+            return;
+        }
+        const int64_t lo = minLegal(s.param());
+        int64_t v = 0;
+        if (__builtin_add_overflow(lo, s.offset(), &v) ? s.offset() < 0
+                                                       : v < 1)
+            err(id, std::string(what) + " can bind below 1: parameter '" +
+                        g_.params()[s.param()].name + "' may be " +
+                        std::to_string(lo));
+    }
+
+    /**
+     * Smallest legal value of a parameter, computed once per id. A
+     * divisor list whose range admits 1 starts at 1; answering that
+     * directly skips the O(sqrt(divisor_of)) enumeration, which takes
+     * seconds for a divisor_of near 2^62.
+     */
+    int64_t
+    minLegal(ParamId p)
+    {
+        if (minLegal_.empty())
+            minLegal_.resize(g_.params().size());
+        auto& lo = minLegal_[size_t(p)];
+        if (!lo) {
+            const ParamDef& d = g_.params()[p];
+            const bool divides = d.kind == ParamKind::TileSize ||
+                                 d.kind == ParamKind::ParFactor;
+            lo = divides && d.divisorOf > 0 && d.minValue <= 1 &&
+                         d.maxValue >= 1
+                     ? 1
+                     : g_.params().legalValues(p).front();
+        }
+        return *lo;
     }
 
     void
@@ -246,6 +284,7 @@ class Validator
 
     const Graph& g_;
     std::vector<std::string> errors_;
+    std::vector<std::optional<int64_t>> minLegal_;
 };
 
 } // namespace

@@ -1,5 +1,7 @@
 #include "dse/space.hh"
 
+#include "ml/rng.hh"
+
 namespace dhdl::dse {
 
 namespace {
@@ -101,57 +103,9 @@ class FastDraw
     uint64_t d_, m_;
 };
 
-/** Max operand-stack depth evalCompiled supports; deeper programs
- *  (never seen in practice) fall back to the expression tree. */
-constexpr size_t kCStackMax = 64;
-
-/** Flatten an expression to postfix; returns the stack depth. */
-size_t
-flattenCExpr(const CExpr& e, auto& out)
-{
-    switch (e.kind()) {
-      case CExpr::Kind::Const: {
-        auto& i = out.emplace_back();
-        i.kind = std::remove_reference_t<decltype(i)>::K::Const;
-        i.value = e.value();
-        return 1;
-      }
-      case CExpr::Kind::Param: {
-        auto& i = out.emplace_back();
-        i.kind = std::remove_reference_t<decltype(i)>::K::Param;
-        i.param = e.param();
-        return 1;
-      }
-      case CExpr::Kind::Arith: {
-        size_t dl = flattenCExpr(e.lhs(), out);
-        size_t dr = flattenCExpr(e.rhs(), out);
-        auto& i = out.emplace_back();
-        i.kind = std::remove_reference_t<decltype(i)>::K::Arith;
-        i.op = e.op();
-        return std::max(dl, dr + 1);
-      }
-    }
-    return 1;
-}
-
-/** Apply a comparison operator; the final step of constraint eval. */
-inline bool
-applyCmp(CCmp cmp, int64_t l, int64_t r)
-{
-    switch (cmp) {
-      case CCmp::Eq: return l == r;
-      case CCmp::Ne: return l != r;
-      case CCmp::Lt: return l < r;
-      case CCmp::Le: return l <= r;
-      case CCmp::Gt: return l > r;
-      case CCmp::Ge: return l >= r;
-    }
-    return false;
-}
-
 } // namespace
 
-ParamSpace::ParamSpace(const Graph& g) : g_(g)
+ParamSpace::ParamSpace(const Graph& g)
 {
     const auto& params = g.params();
     legal_.reserve(params.size());
@@ -174,122 +128,76 @@ ParamSpace::ParamSpace(const Graph& g) : g_(g)
         }
     }
     constraints_.reserve(g.constraints.size());
-    for (const Constraint& c : g.constraints) {
-        CompiledConstraint cc;
-        cc.cmp = c.cmp;
-        size_t depth = flattenCExpr(c.lhs, cc.ops);
-        depth = std::max(depth, 1 + flattenCExpr(c.rhs, cc.ops));
-        if (depth > kCStackMax) {
-            cc.ops.clear();
-            cc.tree = &c;
-        }
-        // Recognize the dominant divisibility shapes (see Shape).
-        using K = CInstr::K;
-        using Shape = CompiledConstraint::Shape;
-        const auto& ops = cc.ops;
-        if (ops.size() == 4 && ops[0].kind == K::Param &&
-            ops[1].kind == K::Param && ops[2].kind == K::Arith &&
-            ops[2].op == CArith::Mod && ops[3].kind == K::Const) {
-            cc.shape = Shape::PModP;
-            cc.pa = ops[0].param;
-            cc.pb = ops[1].param;
-            cc.rhs = ops[3].value;
-        } else if (ops.size() == 6 && ops[0].kind == K::Const &&
-                   ops[1].kind == K::Param && ops[2].kind == K::Arith &&
-                   ops[2].op == CArith::Div &&
-                   ops[3].kind == K::Param && ops[4].kind == K::Arith &&
-                   ops[4].op == CArith::Mod &&
-                   ops[5].kind == K::Const) {
-            cc.shape = Shape::CDivPModP;
-            cc.ca = ops[0].value;
-            cc.pa = ops[1].param;
-            cc.pb = ops[3].param;
-            cc.rhs = ops[5].value;
-        }
-        constraints_.push_back(std::move(cc));
+    for (const Constraint& c : g.constraints)
+        constraints_.emplace_back(c);
+}
+
+ParamSpace::ConstraintCheck::ConstraintCheck(const Constraint& c)
+    : cmp(c.cmp), generic(c)
+{
+    using K = CExpr::Kind;
+    auto isArith = [](const CExpr& e, CArith op) {
+        return e.kind() == K::Arith && e.op() == op;
+    };
+    if (c.rhs.kind() != K::Const || !isArith(c.lhs, CArith::Mod) ||
+        c.lhs.rhs().kind() != K::Param)
+        return;
+    const CExpr& num = c.lhs.lhs();
+    if (num.kind() == K::Param) {
+        shape = Shape::PModP;
+        pa = num.param();
+    } else if (isArith(num, CArith::Div) &&
+               num.lhs().kind() == K::Const &&
+               num.rhs().kind() == K::Param) {
+        shape = Shape::CDivPModP;
+        ca = num.lhs().value();
+        pa = num.rhs().param();
+    } else {
+        return;
     }
+    pb = c.lhs.rhs().param();
+    rhs = c.rhs.value();
 }
 
 bool
-ParamSpace::evalCompiled(const CompiledConstraint& c,
-                         const ParamBinding& b) const
+ParamSpace::ConstraintCheck::holds(const ParamBinding& b) const
 {
-    if (c.tree != nullptr)
-        return c.tree->eval(b);
-    // Straight-line fast paths; each replicates the interpreter's
+    if (shape == Shape::Generic)
+        return generic.eval(b);
+    // Straight-line fast paths; each replicates Constraint::eval's
     // out-of-range, division-by-zero and INT64_MIN/-1 semantics.
-    using Shape = CompiledConstraint::Shape;
-    if (c.shape == Shape::PModP) {
-        if (c.pa < 0 || size_t(c.pa) >= b.values.size() || c.pb < 0 ||
-            size_t(c.pb) >= b.values.size())
+    if (pa < 0 || size_t(pa) >= b.values.size() || pb < 0 ||
+        size_t(pb) >= b.values.size())
+        return false;
+    int64_t l = b.values[size_t(pa)];
+    if (shape == Shape::CDivPModP) {
+        if (l == 0 || (ca == INT64_MIN && l == -1))
             return false;
-        const int64_t l = b.values[size_t(c.pa)];
-        const int64_t r = b.values[size_t(c.pb)];
-        if (r == 0 || (l == INT64_MIN && r == -1))
-            return false;
-        return applyCmp(c.cmp, l % r, c.rhs);
+        l = ca / l;
     }
-    if (c.shape == Shape::CDivPModP) {
-        if (c.pa < 0 || size_t(c.pa) >= b.values.size() || c.pb < 0 ||
-            size_t(c.pb) >= b.values.size())
-            return false;
-        const int64_t d = b.values[size_t(c.pa)];
-        if (d == 0 || (c.ca == INT64_MIN && d == -1))
-            return false;
-        const int64_t l = c.ca / d;
-        const int64_t r = b.values[size_t(c.pb)];
-        if (r == 0 || (l == INT64_MIN && r == -1))
-            return false;
-        return applyCmp(c.cmp, l % r, c.rhs);
-    }
-    int64_t stack[kCStackMax];
-    size_t sp = 0;
-    for (const CInstr& i : c.ops) {
-        switch (i.kind) {
-          case CInstr::K::Const:
-            stack[sp++] = i.value;
-            break;
-          case CInstr::K::Param:
-            if (i.param < 0 || size_t(i.param) >= b.values.size())
-                return false;
-            stack[sp++] = b.values[size_t(i.param)];
-            break;
-          case CInstr::K::Arith: {
-            const int64_t r = stack[--sp];
-            const int64_t l = stack[--sp];
-            int64_t out = 0;
-            switch (i.op) {
-              case CArith::Add:
-                if (__builtin_add_overflow(l, r, &out))
-                    return false;
-                break;
-              case CArith::Sub:
-                if (__builtin_sub_overflow(l, r, &out))
-                    return false;
-                break;
-              case CArith::Mul:
-                if (__builtin_mul_overflow(l, r, &out))
-                    return false;
-                break;
-              case CArith::Div:
-                if (r == 0 || (l == INT64_MIN && r == -1))
-                    return false;
-                out = l / r;
-                break;
-              case CArith::Mod:
-                if (r == 0 || (l == INT64_MIN && r == -1))
-                    return false;
-                out = l % r;
-                break;
-            }
-            stack[sp++] = out;
-            break;
-          }
+    const int64_t r = b.values[size_t(pb)];
+    if (r == 0 || (l == INT64_MIN && r == -1))
+        return false;
+    return cmpHolds(cmp, l % r, rhs);
+}
+
+int64_t
+ParamSpace::MemCheck::bits(const ParamBinding& b) const
+{
+    int64_t n = 1;
+    for (const Term& t : terms) {
+        int64_t dim = t.c;
+        if (t.param != kNoParam) {
+            invariant(t.param >= 0 && size_t(t.param) < b.values.size(),
+                      "parameter id out of range");
+            if (__builtin_add_overflow(b.values[size_t(t.param)], t.c,
+                                       &dim))
+                return INT64_MAX;
         }
+        if (__builtin_mul_overflow(n, dim, &n))
+            return INT64_MAX;
     }
-    const int64_t r = stack[--sp];
-    const int64_t l = stack[--sp];
-    return applyCmp(c.cmp, l, r);
+    return __builtin_mul_overflow(n, typeBits, &n) ? INT64_MAX : n;
 }
 
 double
@@ -301,38 +209,15 @@ ParamSpace::sizeEstimate() const
     return n;
 }
 
-ParamBinding
-ParamSpace::randomBinding(ml::Rng& rng) const
-{
-    ParamBinding b;
-    b.values.reserve(legal_.size());
-    for (const auto& vs : legal_)
-        b.values.push_back(
-            vs[size_t(rng.uniformInt(0, int64_t(vs.size()) - 1))]);
-    return b;
-}
-
 bool
 ParamSpace::isLegal(const ParamBinding& b) const
 {
-    for (const CompiledConstraint& c : constraints_) {
-        if (!evalCompiled(c, b))
+    for (const ConstraintCheck& c : constraints_) {
+        if (!c.holds(b))
             return false;
     }
-    const int64_t* vals = b.values.data();
-    const size_t nvals = b.values.size();
     for (const MemCheck& m : memChecks_) {
-        int64_t n = 1;
-        for (const MemCheck::Term& t : m.terms) {
-            if (t.param == kNoParam) {
-                n *= t.c;
-            } else {
-                invariant(t.param >= 0 && size_t(t.param) < nvals,
-                          "parameter id out of range");
-                n *= vals[size_t(t.param)] + t.c;
-            }
-        }
-        if (n * m.typeBits > kMaxLocalMemBits)
+        if (m.bits(b) > kMaxLocalMemBits)
             return false;
     }
     return true;
@@ -371,21 +256,10 @@ ParamSpace::enumerate(int64_t cap) const
 int64_t
 ParamSpace::localMemBits(const ParamBinding& b) const
 {
-    const int64_t* vals = b.values.data();
-    const size_t nvals = b.values.size();
     int64_t bits = 0;
     for (const MemCheck& m : memChecks_) {
-        int64_t n = 1;
-        for (const MemCheck::Term& t : m.terms) {
-            if (t.param == kNoParam) {
-                n *= t.c;
-            } else {
-                invariant(t.param >= 0 && size_t(t.param) < nvals,
-                          "parameter id out of range");
-                n *= vals[size_t(t.param)] + t.c;
-            }
-        }
-        bits += n * m.typeBits;
+        if (__builtin_add_overflow(bits, m.bits(b), &bits))
+            return INT64_MAX;
     }
     return bits;
 }

@@ -17,7 +17,6 @@
 
 #include "analysis/instance.hh"
 #include "core/diag.hh"
-#include "ml/rng.hh"
 
 namespace dhdl::dse {
 
@@ -39,13 +38,11 @@ class ParamSpace
         return legal_;
     }
 
-    /** Draw one random combination of legal parameter values. */
-    ParamBinding randomBinding(ml::Rng& rng) const;
-
     /**
-     * Structural legality of a binding: every local memory within
-     * the size cap. (Resource capacity is checked later, against
-     * the area estimate.)
+     * Structural legality of a binding: every design constraint
+     * holds and every local memory is within the size cap (a size
+     * whose product overflows is over it). Resource capacity is
+     * checked later, against the area estimate.
      */
     bool isLegal(const ParamBinding& b) const;
 
@@ -61,9 +58,9 @@ class ParamSpace
 
     /**
      * Total on-chip memory bits implied by a binding, summed over the
-     * size-capped local memories — the same flattened terms, multiply
-     * order and wraparound as isLegal()'s per-memory check. Used as a
-     * surrogate search feature (dse/features).
+     * size-capped local memories — the same per-memory product as
+     * isLegal()'s cap check, saturating at INT64_MAX on overflow.
+     * Used as a surrogate search feature (dse/features).
      */
     int64_t localMemBits(const ParamBinding& b) const;
 
@@ -75,52 +72,34 @@ class ParamSpace
     std::vector<ParamBinding> enumerate(int64_t cap) const;
 
   private:
-    /** One postfix instruction of a compiled constraint program. */
-    struct CInstr {
-        enum class K : uint8_t { Const, Param, Arith };
-        K kind = K::Const;
-        CArith op = CArith::Add;
-        ParamId param = kNoParam;
-        int64_t value = 0;
-    };
-
     /**
-     * A legality constraint flattened to a postfix program (lhs
-     * operands then rhs, compared at the end). Evaluating the
-     * program on a small stack gives exactly Constraint::eval's
-     * result — same overflow, division-by-zero and out-of-range
-     * semantics — without walking the shared-pointer expression
-     * tree on every sampling attempt.
+     * One legality constraint as the sampler checks it. Nearly every
+     * design constraint is a divisibility condition — `$a % $b cmp k`
+     * or `(c / $a) % $b cmp k` — so those two shapes, recognized from
+     * the expression tree, run as straight-line code with exactly
+     * Constraint::eval's semantics; every other constraint goes to
+     * Constraint::eval itself.
      */
-    struct CompiledConstraint {
-        /**
-         * Recognized program shapes. Nearly every design constraint
-         * is a divisibility condition — `pa % pb == k` or
-         * `(ca / pa) % pb == k` — so those run as straight-line code;
-         * anything else goes through the postfix interpreter.
-         */
+    struct ConstraintCheck {
         enum class Shape : uint8_t { Generic, PModP, CDivPModP };
 
-        std::vector<CInstr> ops;
-        CCmp cmp = CCmp::Eq;
         Shape shape = Shape::Generic;
+        CCmp cmp = CCmp::Eq;
         ParamId pa = kNoParam, pb = kNoParam;
         int64_t ca = 0;  //!< Leading constant (CDivPModP).
         int64_t rhs = 0; //!< Trailing constant comparand.
-        /** Fallback for programs deeper than the fixed eval stack. */
-        const Constraint* tree = nullptr;
-    };
+        Constraint generic; //!< Evaluated as is when Shape::Generic.
 
-    bool evalCompiled(const CompiledConstraint& c,
-                      const ParamBinding& b) const;
+        explicit ConstraintCheck(const Constraint& c);
+        bool holds(const ParamBinding& b) const;
+    };
 
     /**
      * One local memory's size cap, flattened: the bit count is
      * `Π dims · typeBits` where every dimension is an affine Sym
      * (param + offset, or a constant). Storing the terms as plain
      * (param, constant) pairs keeps the hot mem check in isLegal()
-     * off the graph entirely — same multiplies, same order, same
-     * wraparound as MemNode::numElems.
+     * off the graph entirely.
      */
     struct MemCheck {
         struct Term {
@@ -129,14 +108,20 @@ class ParamSpace
         };
         std::vector<Term> terms; //!< dims in declaration order
         int64_t typeBits = 0;
+
+        /**
+         * The memory's bits under `b`, multiplied in declaration
+         * order then by typeBits; INT64_MAX when any step overflows,
+         * so hostile sizes never wrap back under the cap.
+         */
+        int64_t bits(const ParamBinding& b) const;
     };
 
-    const Graph& g_;
     std::vector<std::vector<int64_t>> legal_;
     //!< Size-capped local memories (Bram/Queue) in node-id order,
     //!< compiled once so isLegal() skips the full node walk.
     std::vector<MemCheck> memChecks_;
-    std::vector<CompiledConstraint> constraints_;
+    std::vector<ConstraintCheck> constraints_;
 };
 
 } // namespace dhdl::dse

@@ -200,12 +200,4 @@ RuntimeEstimator::estimate(const Inst& inst) const
     return e;
 }
 
-void
-RuntimeEstimator::estimateBatch(const InstPool& insts, size_t n,
-                                RuntimeEstimate* out) const
-{
-    for (size_t p = 0; p < n; ++p)
-        out[p] = estimate(insts[p]);
-}
-
 } // namespace dhdl::est

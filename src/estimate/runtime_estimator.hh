@@ -38,15 +38,6 @@ class RuntimeEstimator
     /** Estimate total execution cycles of the design. */
     RuntimeEstimate estimate(const Inst& inst) const;
 
-    /**
-     * Estimate insts[0..n) into out[0..n). The cycle model is a
-     * recursion over the controller hierarchy, so each point runs the
-     * exact estimate() arithmetic; the batched entry lets the
-     * evaluator drive one call (and one timing span) per batch.
-     */
-    void estimateBatch(const InstPool& insts, size_t n,
-                       RuntimeEstimate* out) const;
-
     /** Estimated cycles for one controller subtree (exposed for
      *  tests). */
     double ctrlCycles(const Inst& inst, NodeId ctrl) const;

@@ -45,9 +45,9 @@
 namespace dhdl::serve {
 
 struct ServerConfig {
-    /** Bind address; loopback only by design (no auth on the wire). */
-    std::string host = "127.0.0.1";
-    int port = 0; //!< 0 = ephemeral; Server::port() has the real one.
+    /** Loopback listen port (no auth on the wire, so never another
+     *  address); 0 = ephemeral, Server::port() has the real one. */
+    int port = 0;
 
     int executors = 2;  //!< Concurrent jobs (ThreadPool workers).
     int jobThreads = 1; //!< Default eval threads per job.

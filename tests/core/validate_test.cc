@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/builder.hh"
 #include "core/parser.hh"
 #include "core/printer.hh"
 #include "core/validate.hh"
+
+#ifndef DHDL_IR_DATA_DIR
+#define DHDL_IR_DATA_DIR "."
+#endif
 
 namespace dhdl {
 namespace {
@@ -206,6 +213,66 @@ TEST(ValidateTest, ParsedConstantSizesBelowOneFlagged)
                   std::string::npos)
             << errs[0];
     }
+}
+
+/** The dotproduct golden fixture with each (from, to) edit applied. */
+std::string
+editedDotproduct(
+    std::initializer_list<std::pair<std::string, std::string>> edits)
+{
+    std::ifstream is(DHDL_IR_DATA_DIR "/golden/dotproduct.dhdl");
+    std::stringstream ss;
+    ss << is.rdbuf();
+    std::string text = ss.str();
+    for (const auto& [from, to] : edits) {
+        size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        if (at != std::string::npos)
+            text.replace(at, from.size(), to);
+    }
+    return text;
+}
+
+TEST(ValidateTest, ParsedParameterSizesThatCanBindBelowOneFlagged)
+{
+    // tileSize may bind to 0 once its range admits 0 and the
+    // constraint that divides by it is gone; every size it sets is
+    // then flagged, naming the node and the parameter.
+    ParseResult res = parseIR(editedDotproduct({
+        {"divisor_of=187200000 min=1 max=131072",
+         "divisor_of=0 min=0 max=3"},
+        {"constraint ((187200000 / $0) % $1) == 0\n", ""},
+    }));
+    ASSERT_TRUE(res.ok()) << res.status.diag().str();
+    auto errs = validate(*res.graph);
+    const char* flagged[] = {
+        "Counter 'M1.ctr'", "BRAM 'aT'", "BRAM 'bT'",
+        "TileLd 'aT.load'", "TileLd 'bT.load'",
+    };
+    ASSERT_EQ(errs.size(), std::size(flagged));
+    for (size_t i = 0; i < errs.size(); ++i) {
+        EXPECT_NE(errs[i].find(flagged[i]), std::string::npos) << errs[i];
+        EXPECT_NE(errs[i].find("can bind below 1: parameter 'tileSize' "
+                               "may be 0"),
+                  std::string::npos)
+            << errs[i];
+    }
+
+    // The offset counts: at its smallest legal value 1, `$0-1` is 0.
+    res = parseIR(
+        editedDotproduct({{"dims=[$0] banks", "dims=[$0-1] banks"}}));
+    ASSERT_TRUE(res.ok()) << res.status.diag().str();
+    errs = validate(*res.graph);
+    ASSERT_EQ(errs.size(), 1u);
+    EXPECT_NE(errs[0].find("BRAM 'aT'"), std::string::npos) << errs[0];
+    EXPECT_NE(errs[0].find("memory dimension can bind below 1"),
+              std::string::npos)
+        << errs[0];
+
+    // The fixture as written is valid.
+    res = parseIR(editedDotproduct({}));
+    ASSERT_TRUE(res.ok()) << res.status.diag().str();
+    EXPECT_TRUE(validate(*res.graph).empty());
 }
 
 } // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.hh"
+#include "core/parser.hh"
+#include "core/printer.hh"
 #include "dse/space.hh"
 
 namespace dhdl::dse {
@@ -37,15 +39,14 @@ TEST(SpaceTest, SizeEstimateIsProductOfLegalValues)
     EXPECT_DOUBLE_EQ(sp.sizeEstimate(), expect);
 }
 
-TEST(SpaceTest, RandomBindingsAreWithinLegalValues)
+TEST(SpaceTest, SampledBindingsAreWithinLegalValues)
 {
     Design d = spaceDesign();
     ParamSpace sp(d.graph());
-    ml::Rng rng(1);
-    for (int i = 0; i < 200; ++i) {
-        auto b = sp.randomBinding(rng);
+    auto samples = sp.sample(200, 1);
+    EXPECT_FALSE(samples.empty());
+    for (const auto& b : samples)
         EXPECT_TRUE(d.params().isLegal(b));
-    }
 }
 
 TEST(SpaceTest, SampleRespectsConstraints)
@@ -138,6 +139,111 @@ TEST(SpaceTest, LocalMemBitsMatchesLegalityTerms)
     EXPECT_EQ(sp.localMemBits(b), 32 * 128);
     ParamBinding b2{{512, 2, 0}};
     EXPECT_EQ(sp.localMemBits(b2), 32 * 512);
+}
+
+TEST(SpaceTest, MemoryCapHoldsWhenTheProductOverflows)
+{
+    // A ts x ts f32 tile with ts a divisor of 2^40. From ts = 2^29
+    // the bit count passes 2^63, and from ts = 2^32 the dimension
+    // product itself does; wrapped, those products read as 0 or
+    // negative and would pass the 4 Mbit cap.
+    Design d("wrap");
+    ParamId ts = d.tileParam("ts", int64_t(1) << 40);
+    d.parParam("par", 8);
+    d.accel([&](Scope& s) {
+        s.bram("t", DType::f32(), {Sym::p(ts), Sym::p(ts)});
+    });
+    ParamSpace sp(d.graph());
+    auto fits = [](const ParamBinding& b) {
+        const __int128 t = b.values[0];
+        return t * t * 32 <= kMaxLocalMemBits;
+    };
+    // Legal: ts in {1, 2, ..., 256}, times the 4 divisors of 8.
+    auto all = sp.enumerate(1000);
+    EXPECT_EQ(all.size(), 36u);
+    auto sampled = sp.sample(1000, 11);
+    EXPECT_EQ(sampled.size(), 36u);
+    for (const auto* set : {&all, &sampled})
+        for (const auto& b : *set)
+            EXPECT_TRUE(fits(b)) << "ts = " << b.values[0];
+
+    for (int e : {29, 30, 32, 40}) {
+        ParamBinding wrap{{int64_t(1) << e, 1}};
+        EXPECT_FALSE(sp.isLegal(wrap)) << "ts = 2^" << e;
+        EXPECT_EQ(sp.localMemBits(wrap), INT64_MAX) << "ts = 2^" << e;
+    }
+    EXPECT_EQ(sp.localMemBits(ParamBinding{{256, 1}}), 256 * 256 * 32);
+}
+
+/** `.dhdl` text of a three-parameter design with no memories and
+ *  one constraint. */
+std::string
+designWithConstraint(const std::string& constraint)
+{
+    Design d("agree");
+    for (const char* name : {"a", "b", "c"})
+        d.parParam(name, 8);
+    d.accel([&](Scope&) {});
+    std::string text = emitIR(d.graph());
+    text.insert(text.find("node "), "constraint " + constraint + "\n");
+    return text;
+}
+
+TEST(SpaceTest, LegalityAgreesWithConstraintEval)
+{
+    // 63 `(0 + ...)` wrappers around `($0 % $1)` nest the expression
+    // to the parser's depth limit of 64; one more is rejected.
+    std::string deep = "($0 % $1)";
+    for (int i = 0; i < 63; ++i)
+        deep = "(0 + " + deep + ")";
+    EXPECT_FALSE(
+        parseIR(designWithConstraint("(0 + " + deep + ") == 0")).ok());
+    const std::string constraints[] = {
+        // `$a % $b cmp k`, under all six comparisons.
+        "($0 % $1) == 0",
+        "($0 % $1) != 2",
+        "($1 % $0) < 1",
+        "($0 % $2) <= -1",
+        "($2 % $1) > 0",
+        "($0 % $1) >= 3",
+        // `(c / $a) % $b cmp k`.
+        "((12 / $0) % $1) == 0",
+        "((-9223372036854775808 / $0) % $1) != 0",
+        "((7 / $2) % $0) >= 1",
+        // Everything else, near misses of both shapes included.
+        "(($0 * $1) + $2) <= 100",
+        "($0 - $1) > ($2 / $0)",
+        "($0 % 3) == 0",
+        "($0 % $1) == $2",
+        "((12 / $0) % 5) == 2",
+        "((12 * $0) % $1) == 0",
+        deep + " == 0",
+    };
+    const int64_t edge[] = {INT64_MIN, INT64_MIN + 1, -7, -1, 0,
+                            1,         2,             3,  12, INT64_MAX};
+    for (const std::string& c : constraints) {
+        ParseResult res = parseIR(designWithConstraint(c));
+        ASSERT_TRUE(res.ok()) << c << ": " << res.status.diag().str();
+        const Graph& g = *res.graph;
+        ASSERT_EQ(g.constraints.size(), 1u) << c;
+        ParamSpace sp(g);
+        int held = 0, failed = 0;
+        auto agree = [&](const ParamBinding& b) {
+            const bool legal = sp.isLegal(b);
+            EXPECT_EQ(legal, g.satisfiesConstraints(b)) << c;
+            (legal ? held : failed)++;
+        };
+        for (int64_t x : edge)
+            for (int64_t y : edge)
+                for (int64_t z : edge)
+                    agree(ParamBinding{{x, y, z}});
+        // Bindings too short for the referenced parameters.
+        agree(ParamBinding{});
+        agree(ParamBinding{{12}});
+        agree(ParamBinding{{12, 3}});
+        EXPECT_GT(held, 0) << c;
+        EXPECT_GT(failed, 0) << c;
+    }
 }
 
 } // namespace
