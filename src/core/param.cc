@@ -10,11 +10,25 @@ divisorsOf(int64_t n)
     std::vector<int64_t> divs;
     if (n <= 0)
         return divs;
-    for (int64_t d = 1; d * d <= n; ++d) {
-        if (n % d == 0) {
-            divs.push_back(d);
-            if (d != n / d)
-                divs.push_back(n / d);
+    // Factor by trial division up to the square root of what is left,
+    // then multiply the divisors out: a smooth n such as 2^62 factors
+    // in a few steps, a prime or a product of two large primes still
+    // takes O(sqrt(n)).
+    divs.push_back(1);
+    for (int64_t p = 2, rest = n; rest > 1; p += p == 2 ? 1 : 2) {
+        if (p > rest / p)
+            p = rest;
+        int k = 0;
+        while (rest % p == 0) {
+            rest /= p;
+            ++k;
+        }
+        const size_t m = divs.size();
+        int64_t pk = 1;
+        for (int i = 0; i < k; ++i) {
+            pk *= p;
+            for (size_t j = 0; j < m; ++j)
+                divs.push_back(divs[j] * pk);
         }
     }
     std::sort(divs.begin(), divs.end());
@@ -83,9 +97,17 @@ ParamTable::legalValues(ParamId p) const
                     vals.push_back(v);
             }
         } else {
-            for (int64_t v = d.minValue;
-                 v <= std::min<int64_t>(d.maxValue, d.minValue + 4096); ++v)
+            // At most 4097 values from minValue, never past maxValue
+            // and never past INT64_MAX.
+            const int64_t hi =
+                uint64_t(d.maxValue) - uint64_t(d.minValue) > 4096
+                    ? d.minValue + 4096
+                    : d.maxValue;
+            for (int64_t v = d.minValue;; ++v) {
                 vals.push_back(v);
+                if (v == hi)
+                    break;
+            }
         }
         break;
     }

@@ -1,6 +1,5 @@
 #include "core/validate.hh"
 
-#include <optional>
 #include <sstream>
 
 namespace dhdl {
@@ -34,7 +33,14 @@ arity(Op op)
 class Validator
 {
   public:
-    explicit Validator(const Graph& g) : g_(g) {}
+    explicit Validator(const Graph& g) : g_(g)
+    {
+        // Listed once per parameter, not once per size that uses it:
+        // a divisor list costs O(sqrt(divisor_of)) when divisor_of is
+        // a large prime, seconds near 2^62.
+        for (size_t p = 0; p < g.params().size(); ++p)
+            minLegal_.push_back(g.params().legalValues(ParamId(p)).front());
+    }
 
     std::vector<std::string>
     run()
@@ -137,37 +143,14 @@ class Validator
                             std::to_string(s.constant()) + " is below 1");
             return;
         }
-        const int64_t lo = minLegal(s.param());
+        const std::string& name = g_.params()[s.param()].name;
+        const int64_t lo = minLegal_[size_t(s.param())];
         int64_t v = 0;
         if (__builtin_add_overflow(lo, s.offset(), &v) ? s.offset() < 0
                                                        : v < 1)
             err(id, std::string(what) + " can bind below 1: parameter '" +
-                        g_.params()[s.param()].name + "' may be " +
+                        name + "' may be " +
                         std::to_string(lo));
-    }
-
-    /**
-     * Smallest legal value of a parameter, computed once per id. A
-     * divisor list whose range admits 1 starts at 1; answering that
-     * directly skips the O(sqrt(divisor_of)) enumeration, which takes
-     * seconds for a divisor_of near 2^62.
-     */
-    int64_t
-    minLegal(ParamId p)
-    {
-        if (minLegal_.empty())
-            minLegal_.resize(g_.params().size());
-        auto& lo = minLegal_[size_t(p)];
-        if (!lo) {
-            const ParamDef& d = g_.params()[p];
-            const bool divides = d.kind == ParamKind::TileSize ||
-                                 d.kind == ParamKind::ParFactor;
-            lo = divides && d.divisorOf > 0 && d.minValue <= 1 &&
-                         d.maxValue >= 1
-                     ? 1
-                     : g_.params().legalValues(p).front();
-        }
-        return *lo;
     }
 
     void
@@ -284,7 +267,7 @@ class Validator
 
     const Graph& g_;
     std::vector<std::string> errors_;
-    std::vector<std::optional<int64_t>> minLegal_;
+    std::vector<int64_t> minLegal_;
 };
 
 } // namespace

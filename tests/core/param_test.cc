@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/param.hh"
 
 namespace dhdl {
@@ -22,6 +24,23 @@ TEST(DivisorsTest, NonPositive)
 {
     EXPECT_TRUE(divisorsOf(0).empty());
     EXPECT_TRUE(divisorsOf(-4).empty());
+}
+
+TEST(DivisorsTest, MatchesTrialDivisionAndFactorsPowersOfTwo)
+{
+    for (int64_t n = 1; n <= 5000; ++n) {
+        std::vector<int64_t> want;
+        for (int64_t d = 1; d <= n; ++d)
+            if (n % d == 0)
+                want.push_back(d);
+        ASSERT_EQ(divisorsOf(n), want) << n;
+    }
+    // 2^62 has 63 divisors; it factors in a few steps, not 2^31.
+    auto divs = divisorsOf(int64_t(1) << 62);
+    ASSERT_EQ(divs.size(), 63u);
+    for (int i = 0; i < 63; ++i)
+        EXPECT_EQ(divs[size_t(i)], int64_t(1) << i);
+    EXPECT_EQ(divisorsOf(INT64_MAX).back(), INT64_MAX);
 }
 
 TEST(ParamTableTest, TileSizeLegalValuesAreDivisors)
@@ -51,6 +70,31 @@ TEST(ParamTableTest, MaxValueCapsLegalValues)
     ParamId p = t.add(d);
     for (int64_t v : t.legalValues(p))
         EXPECT_LE(v, 16);
+}
+
+TEST(ParamTableTest, UnboundedRangeStopsAtInt64Max)
+{
+    // Without divisor_of, at most 4097 values from min, and a range
+    // that ends at INT64_MAX neither wraps nor steps past it.
+    ParamTable t;
+    ParamDef d;
+    d.name = "tile";
+    d.kind = ParamKind::TileSize;
+    d.divisorOf = 0;
+    d.minValue = INT64_MAX - 7;
+    d.maxValue = INT64_MAX;
+    d.defaultValue = INT64_MAX;
+    auto top = t.legalValues(t.add(d));
+    ASSERT_EQ(top.size(), 8u);
+    EXPECT_EQ(top.front(), INT64_MAX - 7);
+    EXPECT_EQ(top.back(), INT64_MAX);
+
+    d.name = "wide";
+    d.minValue = INT64_MIN;
+    auto wide = t.legalValues(t.add(d));
+    ASSERT_EQ(wide.size(), 4097u);
+    EXPECT_EQ(wide.front(), INT64_MIN);
+    EXPECT_EQ(wide.back(), INT64_MIN + 4096);
 }
 
 TEST(ParamTableTest, ToggleValues)

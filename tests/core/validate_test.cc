@@ -275,5 +275,22 @@ TEST(ValidateTest, ParsedParameterSizesThatCanBindBelowOneFlagged)
     EXPECT_TRUE(validate(*res.graph).empty());
 }
 
+TEST(ValidateTest, ParsedParameterNearInt64MaxValidates)
+{
+    // Sizes near INT64_MAX are at least 1, so validate accepts them;
+    // listing the parameter's legal values must not overflow.
+    ParseResult res = parseIR(editedDotproduct({
+        {"default=1000 divisor_of=187200000 min=1 max=131072",
+         "default=9223372036854775807 divisor_of=0 "
+         "min=9223372036854775800 max=9223372036854775807"},
+        {"constraint ((187200000 / $0) % $1) == 0\n", ""},
+    }));
+    ASSERT_TRUE(res.ok()) << res.status.diag().str();
+    EXPECT_TRUE(validate(*res.graph).empty());
+    auto legal = res.graph->params().legalValues(ParamId(0));
+    ASSERT_EQ(legal.size(), 8u);
+    EXPECT_EQ(legal.back(), INT64_MAX);
+}
+
 } // namespace
 } // namespace dhdl

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "core/builder.hh"
 #include "core/parser.hh"
 #include "core/printer.hh"
@@ -173,6 +176,41 @@ TEST(SpaceTest, MemoryCapHoldsWhenTheProductOverflows)
         EXPECT_EQ(sp.localMemBits(wrap), INT64_MAX) << "ts = 2^" << e;
     }
     EXPECT_EQ(sp.localMemBits(ParamBinding{{256, 1}}), 256 * 256 * 32);
+}
+
+TEST(SpaceTest, ParsedHugeTileStaysUnderTheMemoryCap)
+{
+    // The dotproduct fixture with tileSize a divisor of 2^62 and the
+    // constraint that bounds it deleted. Its f32 tiles aT and bT fit
+    // the cap only up to tileSize 2^17; the products from 2^58 on
+    // wrap in 64 bits.
+    std::ifstream is(DHDL_TEST_DATA_DIR "/../ir/golden/dotproduct.dhdl");
+    std::stringstream ss;
+    ss << is.rdbuf();
+    std::string text = ss.str();
+    for (const auto& [from, to] :
+         {std::pair<std::string, std::string>{
+              "divisor_of=187200000 min=1 max=131072",
+              "divisor_of=4611686018427387904 min=1 "
+              "max=4611686018427387904"},
+          {"constraint ((187200000 / $0) % $1) == 0\n", ""}}) {
+        size_t at = text.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+    }
+    ParseResult res = parseIR(text);
+    ASSERT_TRUE(res.ok()) << res.status.diag().str();
+    ParamSpace sp(*res.graph);
+    auto all = sp.enumerate(100000);
+    auto sampled = sp.sample(2000, 11);
+    EXPECT_FALSE(all.empty());
+    EXPECT_FALSE(sampled.empty());
+    for (const auto* set : {&all, &sampled})
+        for (const auto& b : *set) {
+            EXPECT_LE(b.values[0], int64_t(1) << 17);
+            // Summed over aT and bT, each under the cap.
+            EXPECT_LE(sp.localMemBits(b), 2 * kMaxLocalMemBits);
+        }
 }
 
 /** `.dhdl` text of a three-parameter design with no memories and
