@@ -47,8 +47,6 @@ diagCodeName(DiagCode code)
         return "checkpoint-io";
       case DiagCode::CheckpointMismatch:
         return "checkpoint-mismatch";
-      case DiagCode::ShardFailed:
-        return "shard-failed";
       case DiagCode::HostApiMisuse:
         return "host-api-misuse";
       case DiagCode::ParseError:
@@ -82,7 +80,6 @@ diagCodeFromName(std::string_view name)
         DiagCode::EvalBudgetExceeded,
         DiagCode::CheckpointIo,
         DiagCode::CheckpointMismatch,
-        DiagCode::ShardFailed,
         DiagCode::HostApiMisuse,
         DiagCode::ParseError,
         DiagCode::SamplingShortfall,

@@ -41,7 +41,6 @@ enum class DiagCode : uint8_t {
     EvalBudgetExceeded,     //!< Exploration point-count budget hit.
     CheckpointIo,           //!< Checkpoint file unreadable/corrupt.
     CheckpointMismatch,     //!< Checkpoint from a different run refused.
-    ShardFailed,            //!< A supervised shard died/hung for good.
     HostApiMisuse,          //!< host::Accelerator called out of contract.
     ParseError,             //!< Malformed `.dhdl` IR text.
     SamplingShortfall,      //!< Legal space yielded fewer points than asked.

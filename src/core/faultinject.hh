@@ -30,7 +30,8 @@
  *
  * The harness is process-wide and thread-safe. It exists to *cause*
  * failures; the recovery paths it exercises (torn-tail truncation,
- * CRC record rejection, supervisor retry) are the product.
+ * CRC record rejection, resume from the last durable checkpoint)
+ * are the product.
  */
 
 #ifndef DHDL_CORE_FAULTINJECT_HH

@@ -24,6 +24,27 @@ constexpr size_t kMaxNameLen = 4096;
 constexpr int kMaxCExprDepth = 64;
 
 /**
+ * A `divisor_of` must factor cheaply: trial division by every p up to
+ * kMaxTrialDivisor may leave a cofactor of at most kMaxCofactor. Such
+ * a cofactor with no factor up to 2^20 is prime, so listing the
+ * divisors of an accepted value takes at most about 2^19 divisions; a
+ * large prime, or the product of two, would take up to 2^31.
+ */
+constexpr int64_t kMaxTrialDivisor = int64_t(1) << 20;
+constexpr int64_t kMaxCofactor = int64_t(1) << 40;
+
+bool
+factorsCheaply(int64_t n)
+{
+    // Dividing out more factors only shrinks n, so stop at the cap.
+    for (int64_t p = 2; n > kMaxCofactor && p <= kMaxTrialDivisor;
+         p += p == 2 ? 1 : 2)
+        while (n % p == 0)
+            n /= p;
+    return n <= kMaxCofactor;
+}
+
+/**
  * Internal parse failure. Thrown inside the parser, converted to a
  * Status at the public boundary — callers never see an exception.
  */
@@ -511,6 +532,11 @@ class Parser
         }
         if (d.minValue > d.maxValue)
             c.fail("parameter '" + d.name + "' has empty range");
+        if (d.divisorOf > 0 && !factorsCheaply(d.divisorOf))
+            c.fail("parameter '" + d.name + "' has divisor_of=" +
+                   std::to_string(d.divisorOf) +
+                   ", which leaves a factor above 2^40 after trial "
+                   "division up to 2^20");
         c.expectEnd();
         g().params().add(std::move(d));
     }

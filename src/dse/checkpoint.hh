@@ -1,7 +1,7 @@
 /**
  * @file
  * Durable exploration checkpoints: the crash-safe, self-validating
- * on-disk format shared by explore(), resume, and shard merge.
+ * on-disk format shared by explore() and resume.
  *
  * Format (v2), line-oriented text:
  *
@@ -97,8 +97,8 @@ class CheckpointWriter
     /**
      * The file for `points`: the header, then the line of every
      * evaluated point in index order. Deterministic: identical points
-     * yield identical bytes, which shard-merge byte-identity and the
-     * golden suite pin. The reference is valid until the next call.
+     * yield identical bytes, which the resume and golden suites pin.
+     * The reference is valid until the next call.
      */
     const std::string& render(const std::vector<DesignPoint>& points);
 
@@ -152,9 +152,7 @@ struct CheckpointLoadStats {
  * v1 files are refused as unsupported), or when its header identifies
  * a different exploration (CheckpointMismatch: design, space, seed,
  * sample count or parameter count disagree). The caller chooses the
- * policy:
- * resume downgrades to a warning and starts fresh; shard merge
- * reports the shard missing.
+ * policy; resume downgrades to a warning and starts fresh.
  *
  * Row-level damage never fails the load: torn tails are truncated,
  * corrupt and stale records skipped, each counted in `statsOut` and

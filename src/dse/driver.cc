@@ -8,7 +8,7 @@
  * Per round r the loop:
  *
  *  1. asks the strategy to propose up to the remaining budget from
- *     the pool (un-evaluated, in-shard candidates, ascending index);
+ *     the pool (un-evaluated candidates, ascending index);
  *  2. evaluates the proposal — threaded, batched, in checkpoint
  *     slices;
  *  3. feeds the results back via observe(), folds valid points into
@@ -19,7 +19,7 @@
  * expired wall clock. With RandomStrategy (one round proposing the
  * whole pool in sample order) every byte of the result — points,
  * diagnostic order, Pareto front, checkpoint files — is the
- * historical one-shot sweep's: the golden, shard-merge and
+ * historical one-shot sweep's: the golden, checkpoint and
  * batch-equivalence suites pin this.
  */
 
@@ -83,10 +83,6 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     const auto t0 = Clock::now();
     DHDL_OBS_SPAN("dse", "explore");
 
-    require(cfg.shardCount >= 1 && cfg.shardIndex >= 0 &&
-                cfg.shardIndex < cfg.shardCount,
-            "shard index must satisfy 0 <= index < count");
-
     ParamSpace space(g);
     ExploreResult res;
     DiagSink sink;
@@ -123,22 +119,14 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
         res.stats.ckptCorrupt = ls.corrupt;
     }
 
-    // Candidate pool: this shard's slice of everything not restored
-    // from the checkpoint, in sample order. Strategies draw from it;
-    // the evaluation-count budget caps how much of it any strategy
-    // may spend.
+    // Candidate pool: everything not restored from the checkpoint,
+    // in sample order. Strategies draw from it; the evaluation-count
+    // budget caps how much of it any strategy may spend.
     std::vector<size_t> pool;
     pool.reserve(res.points.size());
-    for (size_t i = 0; i < res.points.size(); ++i) {
-        if (res.points[i].evaluated)
-            continue;
-        if (cfg.shardCount > 1 &&
-            int(i % size_t(cfg.shardCount)) != cfg.shardIndex) {
-            ++res.stats.notInShard;
-            continue;
-        }
-        pool.push_back(i);
-    }
+    for (size_t i = 0; i < res.points.size(); ++i)
+        if (!res.points[i].evaluated)
+            pool.push_back(i);
     int64_t remaining = int64_t(pool.size());
     if (cfg.evalBudget > 0 && int64_t(pool.size()) > cfg.evalBudget) {
         res.stats.evalBudgetHit = true;
@@ -214,11 +202,10 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
 
     const auto* hook = cfg.preEvaluate ? &cfg.preEvaluate : nullptr;
     // Chaos seams (disarmed: one relaxed load). The crash is a real
-    // SIGKILL — exactly what the durable checkpoint format and the
-    // shard supervisor exist to survive. The seams fire once per
-    // point after its batch, so crash-after-N-evals counts points
-    // (the crash lands on a batch boundary, which resume converges
-    // from identically).
+    // SIGKILL — exactly what the durable checkpoint format exists to
+    // survive. The seams fire once per point after its batch, so
+    // crash-after-N-evals counts points (the crash lands on a batch
+    // boundary, which resume converges from identically).
     auto faultSeams = [&](size_t evals) {
         if (!fault::active())
             return;
@@ -363,8 +350,7 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
         res.stats.failed += p.failed ? 1 : 0;
         res.stats.valid += p.valid ? 1 : 0;
     }
-    res.stats.skipped =
-        res.stats.total - res.stats.evaluated - res.stats.notInShard;
+    res.stats.skipped = res.stats.total - res.stats.evaluated;
     if (outOfTime.load()) {
         res.stats.timeBudgetHit = true;
         sink.report(Diag::warning(

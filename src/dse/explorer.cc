@@ -35,8 +35,8 @@ sampleGlobal(const ParamSpace& space, const ExploreConfig& cfg,
 {
     // Small pruned spaces are walked exhaustively; larger ones are
     // randomly sampled (the paper samples up to 75,000 legal points).
-    // Either path is deterministic per seed, which checkpoint/resume,
-    // shard merge and the thread-count invariance all rely on.
+    // Either path is deterministic per seed, which checkpoint/resume
+    // and the thread-count invariance both rely on.
     return space.sizeEstimate() <= double(cfg.maxPoints)
                ? space.enumerate(cfg.maxPoints)
                : space.sample(cfg.maxPoints, cfg.seed, sink);

@@ -111,7 +111,7 @@ struct ExploreConfig {
      * kernel tile (kAreaTile in estimate/area_estimator.cc). Batching
      * never changes a result bit, so this is a constant, not a
      * setting. Batches nest inside checkpoint slices and per-worker
-     * ranges, so checkpoint cadence and sharding are unaffected.
+     * ranges, so checkpoint cadence is unaffected.
      */
     static constexpr int batchSize = 64;
 
@@ -130,18 +130,6 @@ struct ExploreConfig {
 
     /** Evaluations between checkpoint writes. */
     int64_t checkpointEvery = 1000;
-
-    /**
-     * Deterministic shard assignment: this call evaluates only the
-     * sample-set indices congruent to shardIndex modulo shardCount.
-     * Every shard of the same (design, seed, maxPoints) derives the
-     * identical global sample set, so any assignment of shards to
-     * processes reproduces the same points and
-     * dse::mergeShards() reassembles the exact unsharded result.
-     * The default 0/1 is the unsharded run.
-     */
-    int shardIndex = 0;
-    int shardCount = 1;
 
     /**
      * Restore previously evaluated points from checkpointPath before
@@ -233,7 +221,6 @@ struct ExploreStats {
     size_t failed = 0;    //!< Points whose evaluation threw.
     size_t valid = 0;     //!< Points that fit the device.
     size_t skipped = 0;   //!< Points dropped by a budget.
-    size_t notInShard = 0; //!< Points owned by other shards.
     size_t ckptTruncated = 0; //!< Torn-tail records dropped on resume.
     size_t ckptCorrupt = 0;   //!< Corrupt records skipped on resume.
     bool timeBudgetHit = false;
@@ -303,11 +290,10 @@ class Explorer
 /**
  * The deterministic global sample set explore() evaluates for this
  * configuration: exhaustively enumerated when the pruned space fits
- * in cfg.maxPoints, randomly sampled per cfg.seed otherwise. Shard
- * runs and shard merge derive the identical set from the identical
- * config — the foundation of merge ≡ unsharded byte-identity. A
- * sampling shortfall is reported on `sink` (when given) so explore()
- * and mergeShards() surface the identical warning.
+ * in cfg.maxPoints, randomly sampled per cfg.seed otherwise. A run
+ * and its resume derive the identical set from the identical config,
+ * which is what lets a checkpoint restore points by index. A
+ * sampling shortfall is reported on `sink` (when given).
  */
 std::vector<ParamBinding> sampleGlobal(const ParamSpace& space,
                                        const ExploreConfig& cfg,
@@ -315,7 +301,7 @@ std::vector<ParamBinding> sampleGlobal(const ParamSpace& space,
 
 /**
  * Canonical diagnostic order (pointIndex, stage, message): results
- * are identical for any thread count and for merged shard runs.
+ * are identical for any thread count and across checkpoint resume.
  */
 void sortDiags(std::vector<Diag>& diags);
 

@@ -9,8 +9,8 @@
  * Contract per round r:
  *
  *  - propose(r, pool, budget, front, out, rs) appends up to `budget`
- *    indices drawn from `pool` (the un-evaluated, in-shard candidate
- *    indices, ascending) to `out`. An empty proposal ends the search.
+ *    indices drawn from `pool` (the un-evaluated candidate indices,
+ *    ascending) to `out`. An empty proposal ends the search.
  *  - after evaluating the proposal, the driver calls
  *    observe(r, points, proposed) with every proposed index, so the
  *    strategy can learn from the new results.

@@ -333,15 +333,39 @@ TEST(ParserTest, ParameterErrorsCarryTheirLineNumber)
         "node %0 seq \"accel\" parent=_ counter=_ par=1 toggle=1 "
         "pattern=map combine=add accum=_ body=_ children=[]\n"
         "root %0\noffchip []\nend\n";
+    // The last two have a divisor_of that costs up to 2^31 trial
+    // divisions to factor: a prime near 2^62, and the product of the
+    // two primes just above 2^20.
     for (const char* param :
          {"param \"\" kind=tile default=1 divisor_of=0 min=1 max=1\n",
-          "param \"p\" kind=tile default=1 divisor_of=0 min=2 max=1\n"}) {
+          "param \"p\" kind=tile default=1 divisor_of=0 min=2 max=1\n",
+          "param \"p\" kind=tile default=1 "
+          "divisor_of=4611686018427387847 min=1 max=64\n",
+          "param \"p\" kind=tile default=1 divisor_of=1099532599387 "
+          "min=1 max=64\n"}) {
         ParseResult res = parseIR(head + param + rest);
         ASSERT_FALSE(res.ok()) << param;
         const std::string& msg = res.status.diag().message;
         EXPECT_EQ(res.status.diag().code, DiagCode::ParseError);
         EXPECT_EQ(msg.rfind("line 3: ", 0), 0u) << msg;
         EXPECT_EQ(msg.find("internal"), std::string::npos) << msg;
+    }
+}
+
+/** INT64_MAX (largest prime factor 649657) and the largest prime
+ *  below 2^40 both factor in at most 2^19 divisions. */
+TEST(ParserTest, DivisorOfThatFactorsCheaplyIsAccepted)
+{
+    for (const char* n : {"9223372036854775807", "1099511627689"}) {
+        const std::string text =
+            std::string("dhdl 1\ndesign \"t\"\n"
+                        "param \"p\" kind=tile default=1 divisor_of=") +
+            n +
+            " min=1 max=64\n"
+            "node %0 seq \"accel\" parent=_ counter=_ par=1 toggle=1 "
+            "pattern=map combine=add accum=_ body=_ children=[]\n"
+            "root %0\noffchip []\nend\n";
+        EXPECT_TRUE(parseIR(text).ok()) << n;
     }
 }
 

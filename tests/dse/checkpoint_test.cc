@@ -26,7 +26,8 @@
 #include "core/faultinject.hh"
 #include "dse/checkpoint.hh"
 #include "dse/explorer.hh"
-#include "dse/shard.hh"
+
+#include "canonical_diags.hh"
 
 namespace dhdl::dse {
 namespace {

@@ -18,7 +18,9 @@
 #include "apps/apps.hh"
 #include "core/faultinject.hh"
 #include "dse/checkpoint.hh"
-#include "dse/shard.hh"
+#include "dse/explorer.hh"
+
+#include "canonical_diags.hh"
 
 namespace dhdl::dse {
 namespace {

@@ -64,7 +64,6 @@ TEST(ConfigCodec, KeysOutsideTheTableAreIgnored)
     ASSERT_TRUE(configFromJson(j, d).ok());
     EXPECT_EQ(d.maxPoints, 10);
     EXPECT_TRUE(d.checkpointPath.empty());
-    EXPECT_EQ(d.shardCount, 1);
     EXPECT_FALSE(d.resume);
 }
 

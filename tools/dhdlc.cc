@@ -3,7 +3,7 @@
  *
  * Usage: dhdlc <command> [<design>] [flags...]. Run without
  * arguments for every flag: one table drives parsing and the usage
- * text. Commands: list, print, explore, merge, report, emit, emit-ir,
+ * text. Commands: list, print, explore, report, emit, emit-ir,
  * calibrate, submit, status, result, cancel; or `dhdlc --version`.
  *
  * The serving commands talk to a running `dhdld` daemon over its
@@ -48,19 +48,6 @@
  * environment. All three render one registry snapshot — there is no
  * separate timing plumbing.
  *
- * Sharded exploration (crash-safe distribution, DESIGN.md §10):
- *   --shard I/N     evaluate only shard I of an N-way deterministic
- *                   partition; the checkpoint goes to
- *                   <FILE>.shard-I-of-N
- *   --shards N      supervisor mode: launch all N shards of this
- *                   machine as subprocesses, watchdog + retry each
- *                   (--shard-timeout, --retries), then merge the
- *                   shard checkpoints and print the global result
- *   merge           reassemble shard checkpoints without running
- *                   anything; shards that are missing or belong to a
- *                   different run degrade to an explicit partial
- *                   merge
- *
  * Fault injection (chaos testing): DHDL_FAULT=point=value[,...] in
  * the environment arms crash/hang/torn-write/corrupt-record seams
  * (src/core/faultinject.hh); dhdlc is the only place that reads it.
@@ -70,12 +57,9 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "apps/apps.hh"
 #include "obs/metrics.hh"
@@ -85,8 +69,6 @@
 #include "core/printer.hh"
 #include "core/transform.hh"
 #include "dse/explorer.hh"
-#include "dse/shard.hh"
-#include "dse/supervisor.hh"
 #include "estimate/power_model.hh"
 #include "flags.hh"
 #include "fpga/toolchain.hh"
@@ -115,10 +97,6 @@ struct Args {
     std::string metrics;
     long long seed = -1;   //!< -1 keeps the ExploreConfig default.
     long long checkpointEvery = 0; //!< 0 keeps the default cadence.
-    std::string shard;     //!< "I/N": run one shard of a partition.
-    int shards = 0;        //!< >0: supervise all N shards locally.
-    double shardTimeout = 0; //!< Watchdog per shard attempt.
-    int retries = 2;       //!< Supervisor retries per shard.
     std::string strategy;  //!< "random" (default) or "surrogate".
     int initialPoints = 0; //!< >0 overrides the surrogate seed round.
     int maxRounds = 0;     //!< >0 caps surrogate rounds.
@@ -130,8 +108,6 @@ struct Args {
     bool follow = false;   //!< Stream round events on submit.
     bool wait = false;     //!< Block in `result` until finished.
     bool version = false;  //!< Print version + protocol and exit.
-    /** Each flag's operand exactly as typed (last one wins). */
-    std::map<std::string, std::string> typed;
 };
 
 const std::vector<tools::FlagDef<Args>>&
@@ -149,10 +125,6 @@ flagTable()
         {"--checkpoint", "FILE", str(&Args::checkpoint)},
         {"--checkpoint-every", "N", num(&Args::checkpointEvery)},
         {"--resume", nullptr, flag(&Args::resume)},
-        {"--shard", "I/N", str(&Args::shard)},
-        {"--shards", "N", num(&Args::shards)},
-        {"--shard-timeout", "SEC", num(&Args::shardTimeout)},
-        {"--retries", "R", num(&Args::retries)},
         {"--strategy", "random|surrogate", str(&Args::strategy)},
         {"--initial-points", "N", num(&Args::initialPoints)},
         {"--max-rounds", "R", num(&Args::maxRounds)},
@@ -175,7 +147,7 @@ int
 usage()
 {
     std::cerr << "usage: dhdlc "
-                 "<list|print|explore|merge|report|emit|emit-ir|"
+                 "<list|print|explore|report|emit|emit-ir|"
                  "calibrate|submit|status|result|cancel> "
                  "[benchmark|file.dhdl]";
     tools::usageFlags(std::cerr, flagTable());
@@ -196,8 +168,7 @@ parse(int argc, char** argv, Args& args)
     }
     if (i < argc && argv[i][0] != '-')
         args.benchmark = argv[i++];
-    return tools::parseFlags(flagTable(), argc, argv, i, args,
-                             &args.typed);
+    return tools::parseFlags(flagTable(), argc, argv, i, args);
 }
 
 /**
@@ -234,9 +205,8 @@ designStem(const Args& args, const Graph& g)
 }
 
 /**
- * The one ExploreConfig builder every command shares: shard runs,
- * the supervisor and `merge` must all derive the identical global
- * sample set, so they must all come through here.
+ * The one ExploreConfig builder every command shares: `explore`,
+ * `report`, `emit` and `submit` all run the configuration built here.
  */
 dse::ExploreConfig
 makeConfig(const Args& args)
@@ -262,20 +232,6 @@ makeConfig(const Args& args)
         cfg.surrogate.maxRounds = args.maxRounds;
     cfg.surrogate.saveModelPath = args.saveModel;
     cfg.surrogate.loadModelPath = args.loadModel;
-    if (!args.shard.empty()) {
-        dse::ShardSpec spec;
-        Status st = dse::parseShard(args.shard, spec);
-        if (!st.ok())
-            fatal(st.diag().message, st.diag().code);
-        cfg.shardIndex = spec.index;
-        cfg.shardCount = spec.count;
-        // Each shard checkpoints to its own file next to the base
-        // path, so concurrent shards never contend on one file and
-        // merge knows where to look.
-        if (!args.checkpoint.empty())
-            cfg.checkpointPath = dse::shardCheckpointPath(
-                args.checkpoint, spec.index, spec.count);
-    }
     return cfg;
 }
 
@@ -347,120 +303,14 @@ printPareto(const Graph& g, const dse::ExploreResult& res, int top)
     }
 }
 
-/**
- * Merge the shard checkpoints of `args` and print the global result
- * (flagging a partial merge first); true when every shard merged.
- */
-bool
-printMerged(const Graph& g, const Args& args)
-{
-    auto merged = dse::mergeShards(g, makeConfig(args), args.shards,
-                                   args.checkpoint);
-    if (!merged.complete()) {
-        std::cout << "partial merge; missing shard(s):";
-        for (int s : merged.missingShards)
-            std::cout << " " << s;
-        std::cout << "\n";
-    }
-    printSummary(g, merged.result);
-    printPareto(g, merged.result, args.top);
-    return merged.complete();
-}
-
-/** Path of this binary, for relaunching ourselves as shard workers. */
-std::string
-selfExe(const char* argv0)
-{
-    char buf[4096];
-    const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
-
-const char* gArgv0 = "dhdlc";
-
-/**
- * Supervisor mode (`--shards N`): run every shard of this design as
- * a watched subprocess of this same binary, retrying crashed or hung
- * shards with backoff, then merge whatever completed. A permanently
- * failed shard degrades the merge to partial — reported, not fatal.
- */
-int
-cmdSupervise(const Args& args)
-{
-    require(!args.checkpoint.empty(),
-            "--shards needs --checkpoint (shard files derive from it)");
-    require(args.shards >= 1, "--shards must be >= 1");
-    apps::LoadedDesign l = load(args); // Validate before spawning.
-
-    const std::string exe = selfExe(gArgv0);
-    std::vector<dse::SupervisorTask> tasks;
-    for (int s = 0; s < args.shards; ++s) {
-        dse::SupervisorTask t;
-        const std::string spec =
-            std::to_string(s) + "/" + std::to_string(args.shards);
-        t.argv = {exe, "explore", args.benchmark, "--shard", spec,
-                  "--checkpoint", args.checkpoint, "--resume"};
-        // Forward operands verbatim: re-rendering a parsed double
-        // (e.g. --scale 0.0010256406 as "0.001026") would hand the
-        // children a different design.
-        for (const char* f :
-             {"--scale", "--points", "--threads", "--seed",
-              "--checkpoint-every", "--time-budget", "--strategy",
-              "--initial-points", "--max-rounds"}) {
-            if (auto it = args.typed.find(f); it != args.typed.end()) {
-                t.argv.push_back(f);
-                t.argv.push_back(it->second);
-            }
-        }
-        t.logPath = dse::shardCheckpointPath(args.checkpoint, s,
-                                             args.shards) +
-                    ".log";
-        t.label = "shard " + spec;
-        tasks.push_back(std::move(t));
-    }
-
-    dse::SupervisorConfig sc;
-    sc.timeoutSeconds = args.shardTimeout;
-    sc.maxRetries = args.retries;
-    sc.jitterSeed = args.seed >= 0 ? uint64_t(args.seed) : 0xD5Eull;
-    auto sup = dse::runSupervised(tasks, sc);
-    for (const auto& t : sup.tasks)
-        std::cout << (t.succeeded ? "done: " : "FAILED: ") << t.detail
-                  << "\n";
-    if (sup.retries)
-        std::cout << sup.retries << " retried attempt(s), "
-                  << sup.timeouts << " watchdog timeout(s)\n";
-
-    return printMerged(*l.graph, args) && sup.allSucceeded() ? 0 : 1;
-}
-
 int
 cmdExplore(const Args& args)
 {
-    if (args.shards > 0)
-        return cmdSupervise(args);
     apps::LoadedDesign l = load(args);
     auto res = explore(*l.graph, args);
     printSummary(*l.graph, res);
     printPareto(*l.graph, res, args.top);
     return 0;
-}
-
-/**
- * Merge shard checkpoints into the global result without evaluating
- * anything — the off-machine half of a distributed sweep.
- */
-int
-cmdMerge(const Args& args)
-{
-    require(!args.checkpoint.empty(), "merge needs --checkpoint");
-    require(args.shards >= 1, "merge needs --shards N");
-    apps::LoadedDesign l = load(args);
-    return printMerged(*l.graph, args) ? 0 : 1;
 }
 
 int
@@ -667,8 +517,6 @@ runCommand(const Args& args)
         return cmdEmitIR(args);
     if (args.command == "explore")
         return cmdExplore(args);
-    if (args.command == "merge")
-        return cmdMerge(args);
     if (args.command == "report")
         return cmdReport(args);
     if (args.command == "emit")
@@ -750,7 +598,6 @@ finishObs(const Args& args)
 int
 main(int argc, char** argv)
 {
-    gArgv0 = argv[0];
     Args args;
     if (!parse(argc, argv, args))
         return usage();

@@ -12,9 +12,7 @@
 #include <charconv>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <ostream>
-#include <string>
 #include <vector>
 
 namespace dhdl::tools {
@@ -53,14 +51,12 @@ inline constexpr auto flag = [](auto member) {
 
 /**
  * Apply argv[i..argc) to `args`; false on an unknown flag, a missing
- * operand or a refused one. `typed`, when given, keeps each operand
- * exactly as typed (last one wins).
+ * operand or a refused one.
  */
 template <class Args>
 bool
 parseFlags(const std::vector<FlagDef<Args>>& table, int argc,
-           char** argv, int i, Args& args,
-           std::map<std::string, std::string>* typed = nullptr)
+           char** argv, int i, Args& args)
 {
     for (; i < argc; ++i) {
         const FlagDef<Args>* def = nullptr;
@@ -70,8 +66,6 @@ parseFlags(const std::vector<FlagDef<Args>>& table, int argc,
         if (!def || (def->operand && i + 1 >= argc))
             return false;
         const char* v = def->operand ? argv[++i] : nullptr;
-        if (v && typed)
-            (*typed)[def->name] = v;
         if (!def->set(args, v))
             return false;
     }
