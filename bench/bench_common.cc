@@ -26,12 +26,6 @@ benchScale()
     return envDouble("DHDL_BENCH_SCALE", 1.0);
 }
 
-int
-benchPoints()
-{
-    return int(envInt("DHDL_BENCH_POINTS", 5000));
-}
-
 const est::RuntimeEstimator&
 runtimeEstimator()
 {

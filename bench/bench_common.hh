@@ -1,12 +1,11 @@
 /**
  * @file
  * Shared helpers for the experiment benches: environment-variable
- * knobs (dataset scale, DSE sample counts), Pareto-point selection,
- * and table formatting.
+ * knobs, the paper's DSE sample count, Pareto-point selection, and
+ * table formatting.
  *
  * Knobs:
  *   DHDL_BENCH_SCALE   dataset scale factor (default 1.0 = Table II)
- *   DHDL_BENCH_POINTS  DSE sample count (default 5000; paper: 75000)
  */
 
 #ifndef DHDL_BENCH_BENCH_COMMON_HH
@@ -29,8 +28,8 @@ int64_t envInt(const char* name, int64_t def);
 /** Dataset scale for this bench run. */
 double benchScale();
 
-/** DSE sample budget for this bench run. */
-int benchPoints();
+/** DSE samples per benchmark: the paper's setting (Section IV-C). */
+inline constexpr int kPaperPoints = 75000;
 
 /** The process-wide explorer over calibrated estimators. */
 const dse::Explorer& explorer();

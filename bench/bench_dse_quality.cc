@@ -166,18 +166,6 @@ measureApp(const std::string& name, double scale, int points,
     // 3. Surrogate: same seed and sample set, guided rounds.
     auto scfg = cfg;
     scfg.strategy = dse::StrategyKind::Surrogate;
-    scfg.surrogate.initialPoints =
-        int(bench::envInt("DHDL_QUALITY_INITIAL",
-                          scfg.surrogate.initialPoints));
-    scfg.surrogate.roundGrowth = bench::envDouble(
-        "DHDL_QUALITY_GROWTH", scfg.surrogate.roundGrowth);
-    scfg.surrogate.epsilon = bench::envDouble(
-        "DHDL_QUALITY_EPSILON", scfg.surrogate.epsilon);
-    scfg.surrogate.useMlp =
-        bench::envInt("DHDL_QUALITY_MLP", scfg.surrogate.useMlp) != 0;
-    scfg.surrogate.trainEpochs =
-        int(bench::envInt("DHDL_QUALITY_EPOCHS",
-                          scfg.surrogate.trainEpochs));
     auto sur = bench::explorer().explore(d.graph(), scfg);
 
     // The surrogate's evaluation sequence: rounds in order, ranked
@@ -227,27 +215,6 @@ measureApp(const std::string& name, double scale, int points,
     r.speedup = r.surrogateEvals
                     ? double(r.randomEvals) / double(r.surrogateEvals)
                     : 0;
-
-    // Optional tolerance sweep from the same pair of runs: ratio as
-    // a function of how close to the reference front "reached" is.
-    if (const char* env = std::getenv("DHDL_QUALITY_SWEEP")) {
-        std::stringstream ss(env);
-        std::string tok;
-        std::cout << "  sweep " << name << ":";
-        while (std::getline(ss, tok, ',')) {
-            const double t = std::stod(tok);
-            bool ok = false;
-            const size_t se = surrogateAt(t, &ok);
-            const size_t re = randomAt(t);
-            std::cout << "  tol=" << t << " " << re << "/" << se
-                      << (ok ? "=" : ">") << std::fixed
-                      << std::setprecision(1)
-                      << (se ? double(re) / double(se) : 0.0)
-                      << "x" << std::defaultfloat
-                      << std::setprecision(6);
-        }
-        std::cout << "\n";
-    }
     return r;
 }
 

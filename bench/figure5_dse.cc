@@ -29,7 +29,7 @@ int
 main()
 {
     double scale = bench::benchScale();
-    int points = bench::benchPoints();
+    const int points = bench::kPaperPoints;
     const auto& dev = est::calibratedEstimator().device();
 
     std::cout << "Figure 5: design space exploration (scale=" << scale

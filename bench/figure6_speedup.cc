@@ -122,7 +122,7 @@ int
 main()
 {
     double scale = bench::benchScale();
-    int points = bench::benchPoints();
+    const int points = bench::kPaperPoints;
     cpu::CpuPlatform xeon; // the paper's E5-2630
 
     // Paper numbers for the side-by-side column.

@@ -41,7 +41,7 @@ int
 main()
 {
     double scale = bench::benchScale();
-    int points = bench::benchPoints();
+    const int points = bench::kPaperPoints;
     const auto& tc = est::defaultToolchain();
 
     std::cout << "Table III: average absolute error for resource "

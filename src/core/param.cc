@@ -1,6 +1,8 @@
 #include "core/param.hh"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 
 namespace dhdl {
 
@@ -116,14 +118,33 @@ ParamTable::legalValues(ParamId p) const
     return vals;
 }
 
+std::vector<std::vector<int64_t>>
+ParamTable::allLegalValues() const
+{
+    using Key = std::tuple<ParamKind, int64_t, int64_t, int64_t, int64_t>;
+    std::map<Key, size_t> first;
+    std::vector<std::vector<int64_t>> out;
+    out.reserve(defs_.size());
+    for (size_t i = 0; i < defs_.size(); ++i) {
+        const ParamDef& d = defs_[i];
+        const auto [at, fresh] = first.try_emplace(
+            Key{d.kind, d.divisorOf, d.minValue, d.maxValue,
+                d.defaultValue},
+            i);
+        out.push_back(fresh ? legalValues(ParamId(i)) : out[at->second]);
+    }
+    return out;
+}
+
 bool
 ParamTable::isLegal(const ParamBinding& b) const
 {
     if (b.values.size() != defs_.size())
         return false;
+    const auto legal = allLegalValues();
     for (size_t i = 0; i < defs_.size(); ++i) {
-        auto legal = legalValues(ParamId(i));
-        if (!std::binary_search(legal.begin(), legal.end(), b.values[i]))
+        if (!std::binary_search(legal[i].begin(), legal[i].end(),
+                                b.values[i]))
             return false;
     }
     return true;

@@ -85,6 +85,14 @@ class ParamTable
      */
     std::vector<int64_t> legalValues(ParamId p) const;
 
+    /**
+     * legalValues() of every parameter, in id order. Parameters whose
+     * legal sets are defined alike (kind, divisor_of, bounds, default)
+     * share one listing, so a design that repeats a costly divisor_of
+     * factors it once.
+     */
+    std::vector<std::vector<int64_t>> allLegalValues() const;
+
     /** True when the binding assigns a legal value to every param. */
     bool isLegal(const ParamBinding& b) const;
 

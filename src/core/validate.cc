@@ -35,11 +35,11 @@ class Validator
   public:
     explicit Validator(const Graph& g) : g_(g)
     {
-        // Listed once per parameter, not once per size that uses it:
-        // a divisor list costs O(sqrt(divisor_of)) when divisor_of is
-        // a large prime, seconds near 2^62.
-        for (size_t p = 0; p < g.params().size(); ++p)
-            minLegal_.push_back(g.params().legalValues(ParamId(p)).front());
+        // Listed once per distinct parameter definition, not once per
+        // size that uses it: a divisor list costs O(sqrt(divisor_of))
+        // when divisor_of is a large prime.
+        for (const auto& legal : g.params().allLegalValues())
+            minLegal_.push_back(legal.front());
     }
 
     std::vector<std::string>

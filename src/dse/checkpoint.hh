@@ -68,7 +68,9 @@ struct CheckpointMeta {
      * (still v2: strategy-less readers are the only thing that
      * changed, and loading tolerates either layout). Not part of the
      * identity check — a resumed run may switch strategies and keep
-     * its evaluated points.
+     * its evaluated points. The header line and the round column stay
+     * until the dsebench `surrogate` workload, which writes them, is
+     * retired.
      */
     std::string strategy = "random";
 

@@ -49,7 +49,9 @@ enum class StrategyKind : uint8_t {
     /** Surrogate-guided active search: train ml models on evaluated
      *  points between rounds, rank the remaining pool by predicted
      *  Pareto-dominance distance, spend the budget on the top slice
-     *  with an ε-greedy floor and geometrically growing rounds. */
+     *  with an ε-greedy floor and geometrically growing rounds. Stays
+     *  until the dsebench `surrogate` workload that runs it is
+     *  retired. */
     Surrogate,
 };
 
@@ -62,38 +64,6 @@ const char* strategyName(StrategyKind k);
  * name is a UserError naming the choices.
  */
 Status parseStrategy(std::string_view name, StrategyKind& out);
-
-/** Knobs of the surrogate strategy (ignored by Random). */
-struct SurrogateConfig {
-    /** Random seed points evaluated in round 0 (the first training
-     *  set); also the base of the geometric round-size schedule.
-     *  0 = auto: four points per design parameter, clamped to
-     *  [8, 16] — small spaces get a cheap cold start, larger ones
-     *  enough rows for a stable first fit. */
-    int initialPoints = 0;
-    /** ε-greedy floor: fraction of every guided round spent on
-     *  uniform-random picks so the model never starves of coverage. */
-    double epsilon = 0.1;
-    /** Successive round-size growth factor: round r proposes about
-     *  initialPoints * roundGrowth^r points (successive-halving in
-     *  reverse — cheap rounds while the model is weak, bigger
-     *  commitments as it sharpens). Slow growth buys more refits
-     *  per evaluation, which measures strictly better on the
-     *  evals-to-front metric; the extra propose() overhead is model
-     *  compute, not evaluation budget. */
-    double roundGrowth = 1.25;
-    /** Hard cap on guided rounds; 0 = until pool/budget exhausted. */
-    int maxRounds = 0;
-    /** RPROP epochs per model refit between rounds. */
-    int trainEpochs = 200;
-    /** Train Mlps ({nf, 8, 1}) once enough rows exist; a ridge
-     *  LinearModel handles the small-sample rounds either way. */
-    bool useMlp = true;
-    /** Warm-start from a saved surrogate bundle (ml/serialize). */
-    std::string loadModelPath;
-    /** Persist the final trained bundle for later runs. */
-    std::string saveModelPath;
-};
 
 struct RoundStats;
 
@@ -150,7 +120,6 @@ struct ExploreConfig {
     /** Round-based search strategy; Random reproduces the historical
      *  one-shot sweep bit-identically. */
     StrategyKind strategy = StrategyKind::Random;
-    SurrogateConfig surrogate;
 
     /**
      * Precompiled DesignPlan to share (the serving layer's
@@ -191,7 +160,9 @@ struct ExploreConfig {
     std::shared_ptr<const std::atomic<bool>> cancel;
 };
 
-/** Per-round accounting of the search driver. */
+/** Per-round accounting of the search driver. The dsebench
+ *  `surrogate` workload builds these itself; the struct keeps its
+ *  shape until that workload is retired. */
 struct RoundStats {
     int round = 0;
     size_t poolBefore = 0; //!< Un-evaluated candidates before round.
@@ -205,7 +176,8 @@ struct RoundStats {
     /** Indices evaluated this round, in evaluation order (the
      *  strategy's ranked proposal order). Lets quality benches
      *  measure evals-to-front at single-evaluation granularity
-     *  instead of round granularity. */
+     *  instead of round granularity; bench_dse_quality reads it, and
+     *  it stays while the dsebench `surrogate` workload does. */
     std::vector<size_t> evalOrder;
 };
 

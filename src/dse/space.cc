@@ -106,11 +106,8 @@ class FastDraw
 } // namespace
 
 ParamSpace::ParamSpace(const Graph& g)
+    : legal_(g.params().allLegalValues())
 {
-    const auto& params = g.params();
-    legal_.reserve(params.size());
-    for (size_t i = 0; i < params.size(); ++i)
-        legal_.push_back(params.legalValues(ParamId(i)));
     for (NodeId id = 0; id < NodeId(g.numNodes()); ++id) {
         const Node& n = g.node(id);
         if (n.kind() == NodeKind::Bram || n.kind() == NodeKind::Queue) {

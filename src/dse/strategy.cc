@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <limits>
 
 #include "obs/metrics.hh"
@@ -33,6 +32,27 @@ constexpr size_t kMinValRows = 16;
  *  optimism that finds predicted-front extremes. */
 constexpr size_t kCommitteeSize = 3;
 
+/** RPROP epochs per Mlp fit. */
+constexpr int kTrainEpochs = 200;
+
+/** ε-greedy floor: fraction of every guided round spent on
+ *  exploration picks so the model never starves of coverage. */
+constexpr double kEpsilon = 0.1;
+
+/** Round r proposes about seed * kRoundGrowth^r points, with no cap
+ *  on the number of rounds: cheap rounds while the model is weak,
+ *  bigger commitments as it sharpens. Slow growth buys more refits
+ *  per evaluation, which measures strictly better on the
+ *  evals-to-front metric. */
+constexpr double kRoundGrowth = 1.25;
+
+/** Seed-round size: four points per design parameter, clamped to
+ *  [8, 16] — small spaces get a cheap cold start, larger ones enough
+ *  rows for a stable first fit. */
+constexpr int kSeedPerParam = 4;
+constexpr int kMinSeed = 8;
+constexpr int kMaxSeed = 16;
+
 } // namespace
 
 void
@@ -50,46 +70,15 @@ RandomStrategy::propose(int round, const std::vector<size_t>& pool,
 }
 
 SurrogateStrategy::SurrogateStrategy(
-    const SurrogateConfig& cfg, uint64_t seed, const ParamSpace& space,
-    FeatureExtractor fx, const std::vector<DesignPoint>& points)
-    : cfg_(cfg), space_(space), fx_(std::move(fx)), points_(points),
-      seed_(seed), rng_(ml::hashMix(seed ^ 0x5a22063aull))
+    uint64_t seed, const ParamSpace& space, FeatureExtractor fx,
+    const std::vector<DesignPoint>& points)
+    : space_(space), fx_(std::move(fx)), points_(points), seed_(seed),
+      rng_(ml::hashMix(seed ^ 0x5a22063aull))
 {
     feat_.resize(fx_.count());
     scaled_.resize(fx_.count());
     for (size_t i = 0; i < points_.size(); ++i)
         bindingToIdx_.emplace(points_[i].binding.values, i);
-}
-
-void
-SurrogateStrategy::loadModel(const std::string& path, DiagSink& sink)
-{
-    auto warn = [&](const std::string& msg) {
-        sink.report(Diag::warning(DiagCode::ParseError, "surrogate",
-                                  "surrogate model '" + path +
-                                      "' ignored: " + msg));
-    };
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        sink.report(Diag::warning(DiagCode::CheckpointIo, "surrogate",
-                                  "surrogate model '" + path +
-                                      "' not found; training fresh"));
-        return;
-    }
-    ml::SurrogateBundle b;
-    Status st = ml::tryLoadSurrogateBundle(is, b);
-    if (!st.ok()) {
-        warn(st.diag().message + "; training fresh");
-        return;
-    }
-    if (b.features.columns() != fx_.count() || b.numModels() != 2) {
-        warn("trained for a different design (feature arity " +
-             std::to_string(b.features.columns()) + ", expected " +
-             std::to_string(fx_.count()) + "); training fresh");
-        return;
-    }
-    bundle_ = std::move(b);
-    fitted_ = true;
 }
 
 void
@@ -118,20 +107,20 @@ SurrogateStrategy::train(RoundStats& rs)
         return;
     const auto t0 = Clock::now();
 
-    bundle_.features.fit(trainX_);
-    bundle_.targets.fit(trainY_);
+    model_.features.fit(trainX_);
+    model_.targets.fit(trainY_);
 
     // Scale features and targets to [0, 1] for both model families.
     std::vector<std::vector<double>> xs(trainX_.size());
     for (size_t i = 0; i < trainX_.size(); ++i)
-        bundle_.features.transformInto(trainX_[i], xs[i]);
+        model_.features.transformInto(trainX_[i], xs[i]);
     std::array<std::vector<double>, 2> ys;
     for (size_t t = 0; t < 2; ++t) {
         ys[t].resize(trainY_.size());
         for (size_t i = 0; i < trainY_.size(); ++i)
-            ys[t][i] = bundle_.targets.scaleColumn(t, trainY_[i][t]);
+            ys[t][i] = model_.targets.scaleColumn(t, trainY_[i][t]);
     }
-    const bool mlp = cfg_.useMlp && trainX_.size() >= kMinMlpRows;
+    const bool mlp = trainX_.size() >= kMinMlpRows;
 
     auto fitLin = [&](const std::vector<std::vector<double>>& x,
                       const std::vector<double>& y) {
@@ -148,8 +137,7 @@ SurrogateStrategy::train(RoundStats& rs)
         std::vector<std::vector<double>> ycol(y.size());
         for (size_t i = 0; i < y.size(); ++i)
             ycol[i] = {y[i]};
-        ml::RpropTrainer(net).train(x, ycol,
-                                    std::max(1, cfg_.trainEpochs));
+        ml::RpropTrainer(net).train(x, ycol, kTrainEpochs);
         return net;
     };
     auto fitCommittee =
@@ -211,17 +199,11 @@ SurrogateStrategy::train(RoundStats& rs)
     // The final fit uses every row. Both families are kept either
     // way: their disagreement is the exploration signal in
     // propose() regardless of which one ranks.
-    bundle_.useMlp = mlp;
-    bundle_.nets.clear();
-    bundle_.linears.clear();
-    committee_[0].clear();
-    committee_[1].clear();
     for (size_t t = 0; t < 2; ++t) {
-        bundle_.linears.push_back(fitLin(xs, ys[t]));
-        if (mlp) {
-            committee_[t] = fitCommittee(xs, ys[t], t);
-            bundle_.nets.push_back(committee_[t][0]);
-        }
+        model_.linears[t] = fitLin(xs, ys[t]);
+        model_.committees[t].clear();
+        if (mlp)
+            model_.committees[t] = fitCommittee(xs, ys[t], t);
     }
     fitted_ = true;
     dirty_ = false;
@@ -234,45 +216,32 @@ SurrogateStrategy::train(RoundStats& rs)
 
 void
 SurrogateStrategy::predictScaled(const ParamBinding& b, double out[2],
-                                 double* disagreement)
+                                 double& disagreement)
 {
     fx_.featuresInto(b, feat_.data());
-    bundle_.features.transformInto(feat_, scaled_);
-    const bool haveMlp = bundle_.nets.size() == 2;
-    const bool haveLin = bundle_.linears.size() == 2;
-    double dis = 0;
+    model_.features.transformInto(feat_, scaled_);
+    disagreement = 0;
     for (size_t t = 0; t < 2; ++t) {
-        double m = 0, l = 0;
-        if (haveMlp) {
-            if (committee_[t].size() == kCommitteeSize) {
-                // Median over the committee seeds: a minority of
-                // unlucky initializations cannot skew the ranking.
-                double v[kCommitteeSize];
-                for (size_t c = 0; c < kCommitteeSize; ++c)
-                    v[c] = committee_[t][c].predictScalar(scaled_,
-                                                          mlpWs_);
-                std::sort(v, v + kCommitteeSize);
-                m = v[kCommitteeSize / 2];
-            } else {
-                // Warm-started bundle without a committee.
-                m = bundle_.nets[t].predictScalar(scaled_, mlpWs_);
-            }
+        const double l = model_.linears[t].predict(scaled_);
+        const std::vector<ml::Mlp>& c = model_.committees[t];
+        if (c.empty()) {
+            out[t] = l;
+            continue;
         }
-        if (haveLin)
-            l = bundle_.linears[t].predict(scaled_);
-        if (haveMlp && haveLin) {
-            dis += std::abs(m - l);
-            switch (blend_) {
-            case Blend::Average: out[t] = 0.5 * (m + l); break;
-            case Blend::MlpOnly: out[t] = m; break;
-            case Blend::LinearOnly: out[t] = l; break;
-            }
-        } else {
-            out[t] = haveMlp ? m : l;
+        // Median over the committee seeds: a minority of unlucky
+        // initializations cannot skew the ranking.
+        double v[kCommitteeSize];
+        for (size_t k = 0; k < kCommitteeSize; ++k)
+            v[k] = c[k].predictScalar(scaled_, mlpWs_);
+        std::sort(v, v + kCommitteeSize);
+        const double m = v[kCommitteeSize / 2];
+        disagreement += std::abs(m - l);
+        switch (blend_) {
+        case Blend::Average: out[t] = 0.5 * (m + l); break;
+        case Blend::MlpOnly: out[t] = m; break;
+        case Blend::LinearOnly: out[t] = l; break;
         }
     }
-    if (disagreement)
-        *disagreement = dis;
 }
 
 void
@@ -280,21 +249,13 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
                            size_t budget, const ParetoFront& front,
                            std::vector<size_t>& out, RoundStats& rs)
 {
-    if (cfg_.maxRounds > 0 && round >= cfg_.maxRounds)
-        return;
-
-    // Geometric round schedule: small commitments while the model is
-    // weak, larger as it sharpens. The auto cold-start size scales
-    // with the space dimensionality (fx_ carries nparams + 6 derived
-    // slots): four seed points per parameter, clamped to [8, 16].
-    int initial = cfg_.initialPoints;
-    if (initial <= 0) {
-        const int nparams = std::max(1, int(fx_.count()) - 6);
-        initial = std::min(16, std::max(8, 4 * nparams));
-    }
-    const double base = double(initial);
-    const double growth = std::max(1.0, cfg_.roundGrowth);
-    double want = base * std::pow(growth, double(round));
+    // Geometric round schedule from a seed round that scales with the
+    // space dimensionality (fx_ carries nparams + 6 derived slots).
+    const int nparams = std::max(1, int(fx_.count()) - 6);
+    const int initial =
+        std::clamp(kSeedPerParam * nparams, kMinSeed, kMaxSeed);
+    const double want =
+        double(initial) * std::pow(kRoundGrowth, double(round));
     size_t roundSize = size_t(std::min<double>(want, 1e18));
     roundSize = std::min({roundSize, budget, pool.size()});
     if (roundSize == 0)
@@ -330,9 +291,9 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
     std::vector<std::pair<double, double>> f;
     f.reserve(front.size());
     for (const ParetoFront::Entry& e : front.entries())
-        f.emplace_back(bundle_.targets.scaleColumn(
+        f.emplace_back(model_.targets.scaleColumn(
                            0, std::log2(1.0 + e.x)),
-                       bundle_.targets.scaleColumn(
+                       model_.targets.scaleColumn(
                            1, std::log2(1.0 + e.y)));
 
     preds_.resize(pool.size());
@@ -340,7 +301,7 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
     std::vector<double> disag(pool.size());
     double p[2];
     for (size_t k = 0; k < pool.size(); ++k) {
-        predictScaled(points_[pool[k]].binding, p, &disag[k]);
+        predictScaled(points_[pool[k]].binding, p, disag[k]);
         preds_[k] = {p[0], p[1]};
         double s;
         if (f.empty()) {
@@ -447,7 +408,7 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
 
     const size_t nRand = std::min(
         roundSize,
-        size_t(std::ceil(cfg_.epsilon * double(roundSize))));
+        size_t(std::ceil(kEpsilon * double(roundSize))));
     const size_t nTop = roundSize - nRand;
 
     // Diverse top slice: the best-scored candidates often pile onto
@@ -547,9 +508,7 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
     for (const auto& [s, k] : scores_)
         if (!taken[k])
             rest.push_back(k);
-    const bool haveDisag = bundle_.nets.size() == 2 &&
-                           bundle_.linears.size() == 2;
-    if (haveDisag && exLeft > 0) {
+    if (!model_.committees[0].empty() && exLeft > 0) {
         // Half the remaining slice chases disagreement, half stays
         // uniform: all-disagreement can fixate on one exotic region
         // for several rounds, which is the same failure mode it is
@@ -575,47 +534,15 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
                     uint64_t(dt * 1e6));
 }
 
-void
-SurrogateStrategy::finish(DiagSink& sink)
-{
-    if (cfg_.saveModelPath.empty())
-        return;
-    if (dirty_) {
-        RoundStats rs;
-        train(rs);
-    }
-    auto warn = [&](DiagCode code, const std::string& msg) {
-        sink.report(Diag::warning(code, "surrogate", msg));
-    };
-    if (!fitted_) {
-        warn(DiagCode::UserError,
-             "surrogate model not saved: nothing was trained (" +
-                 std::to_string(trainX_.size()) +
-                 " usable training point(s))");
-        return;
-    }
-    std::ofstream os(cfg_.saveModelPath,
-                     std::ios::trunc | std::ios::binary);
-    if (os)
-        ml::saveSurrogateBundle(os, bundle_);
-    if (!os)
-        warn(DiagCode::CheckpointIo, "cannot write surrogate model '" +
-                                         cfg_.saveModelPath + "'");
-}
-
 std::unique_ptr<SearchStrategy>
 makeStrategy(const ExploreConfig& cfg, const ParamSpace& space,
              const DesignPlan* plan,
-             const std::vector<DesignPoint>& points, DiagSink& sink)
+             const std::vector<DesignPoint>& points, DiagSink&)
 {
     if (cfg.strategy == StrategyKind::Random)
         return std::make_unique<RandomStrategy>();
-    auto s = std::make_unique<SurrogateStrategy>(
-        cfg.surrogate, cfg.seed, space, FeatureExtractor(space, plan),
-        points);
-    if (!cfg.surrogate.loadModelPath.empty())
-        s->loadModel(cfg.surrogate.loadModelPath, sink);
-    return s;
+    return std::make_unique<SurrogateStrategy>(
+        cfg.seed, space, FeatureExtractor(space, plan), points);
 }
 
 } // namespace dhdl::dse

@@ -31,7 +31,9 @@
 #include "dse/explorer.hh"
 #include "dse/features.hh"
 #include "dse/pareto.hh"
-#include "ml/serialize.hh"
+#include "ml/linreg.hh"
+#include "ml/mlp.hh"
+#include "ml/scaler.hh"
 
 namespace dhdl::dse {
 
@@ -63,8 +65,9 @@ class SearchStrategy
                          const std::vector<DesignPoint>& points,
                          const std::vector<size_t>& proposed) = 0;
 
-    /** End-of-run hook (e.g. persist the trained model); diagnostics
-     *  go to `sink`. */
+    /** End-of-run hook; no strategy overrides it. It stays, with the
+     *  driver's call, until the dsebench `surrogate` workload that
+     *  also calls it is retired. */
     virtual void finish(DiagSink& sink) { (void)sink; }
 };
 
@@ -83,12 +86,13 @@ class RandomStrategy final : public SearchStrategy
 };
 
 /**
- * Surrogate-guided active search. Round 0 evaluates a random seed
- * slice; each later round refits one model per objective
- * (log2(1+alms), log2(1+cycles)) on every evaluated point, scores
- * the remaining pool by predicted dominance distance to the current
- * front, and proposes the best slice (plus an ε-greedy random floor)
- * at a geometrically growing round size.
+ * Surrogate-guided active search, a fixed algorithm with no settings.
+ * Round 0 evaluates a random seed slice; each later round refits one
+ * model per objective (log2(1+alms), log2(1+cycles)) on every
+ * evaluated point, scores the remaining pool by predicted dominance
+ * distance to the current front, and proposes the best slice (plus an
+ * ε-greedy random floor) at a geometrically growing round size. The
+ * constants live in strategy.cc.
  */
 class SurrogateStrategy final : public SearchStrategy
 {
@@ -98,10 +102,10 @@ class SurrogateStrategy final : public SearchStrategy
      * point array (bindings already populated), borrowed for feature
      * extraction during ranking. `space` must outlive the strategy
      * (it backs the parameter-neighborhood slice). `seed` drives the
-     * ε-greedy picks.
+     * ε-greedy picks and the Mlp initializations.
      */
-    SurrogateStrategy(const SurrogateConfig& cfg, uint64_t seed,
-                      const ParamSpace& space, FeatureExtractor fx,
+    SurrogateStrategy(uint64_t seed, const ParamSpace& space,
+                      FeatureExtractor fx,
                       const std::vector<DesignPoint>& points);
 
     const char* name() const override { return "surrogate"; }
@@ -113,33 +117,28 @@ class SurrogateStrategy final : public SearchStrategy
     void observe(int round, const std::vector<DesignPoint>& points,
                  const std::vector<size_t>& proposed) override;
 
-    void finish(DiagSink& sink) override;
-
-    /**
-     * Warm-start from a saved bundle (ml::loadSurrogateBundle). A
-     * damaged file or one whose feature arity does not match this
-     * design degrades to the untrained state with a warning on
-     * `sink`; the strategy still runs.
-     */
-    void loadModel(const std::string& path, DiagSink& sink);
-
-    /** Rows currently in the training set (tests/bench). */
-    size_t trainingRows() const { return trainX_.size(); }
-
-    /** The current fitted bundle; empty scalers before first fit. */
-    const ml::SurrogateBundle& bundle() const { return bundle_; }
-
   private:
+    /** The fitted models, held in memory for one run only. */
+    struct Model {
+        ml::MinMaxScaler features;
+        ml::MinMaxScaler targets;
+        /** Per-target ridge model. */
+        std::array<ml::LinearModel, 2> linears;
+        /** Per-target Mlp committee (odd seed count); predictions
+         *  take the median, which removes initialization-luck
+         *  outliers. Empty while too few rows exist for an Mlp. */
+        std::array<std::vector<ml::Mlp>, 2> committees;
+    };
+
     /** Refit scalers + models on the accumulated rows. */
     void train(RoundStats& rs);
 
-    /** Predicted scaled (target-space) objectives of one binding;
-     *  optionally also the L1 disagreement between the two model
-     *  families (0 when only one is fitted). */
+    /** Predicted scaled (target-space) objectives of one binding,
+     *  and the L1 disagreement between the two model families (0
+     *  when only the ridge model is fitted). */
     void predictScaled(const ParamBinding& b, double out[2],
-                       double* disagreement = nullptr);
+                       double& disagreement);
 
-    SurrogateConfig cfg_;
     const ParamSpace& space_;
     FeatureExtractor fx_;
     const std::vector<DesignPoint>& points_;
@@ -148,12 +147,8 @@ class SurrogateStrategy final : public SearchStrategy
     std::map<std::vector<int64_t>, size_t> bindingToIdx_;
     uint64_t seed_;
     ml::Rng rng_;
-    ml::SurrogateBundle bundle_;
-    /** Per-target Mlp committee (odd seed count); predictions take
-     *  the median, which removes initialization-luck outliers. The
-     *  first member is mirrored into bundle_ for persistence. */
-    std::array<std::vector<ml::Mlp>, 2> committee_;
-    bool fitted_ = false; //!< bundle_ holds usable models.
+    Model model_;
+    bool fitted_ = false; //!< model_ holds usable models.
     bool dirty_ = false;  //!< new rows since the last fit.
 
     std::vector<std::vector<double>> trainX_;
@@ -175,10 +170,9 @@ class SurrogateStrategy final : public SearchStrategy
 
 /**
  * Instantiate the strategy selected by `cfg`. For the surrogate this
- * compiles the feature extractor from (space, plan) and, when
- * cfg.surrogate.loadModelPath is set, warm-starts from the saved
- * bundle (a damaged or mismatched file degrades to an untrained
- * strategy with a warning on `sink`).
+ * compiles the feature extractor from (space, plan). No strategy
+ * reports on `sink` any more; the parameter stays until the dsebench
+ * `surrogate` workload, which calls this signature, is retired.
  */
 std::unique_ptr<SearchStrategy>
 makeStrategy(const ExploreConfig& cfg, const ParamSpace& space,

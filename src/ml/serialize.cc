@@ -2,12 +2,9 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <limits>
-#include <sstream>
 
-#include "core/checksum.hh"
 #include "core/error.hh"
 
 namespace dhdl::ml {
@@ -16,11 +13,6 @@ namespace {
 
 constexpr const char* kMagic = "# dhdl-model v1";
 constexpr const char* kMagicPrefix = "# dhdl-model";
-constexpr const char* kBundleMagic = "# dhdl-surrogate v1";
-/** Bundle bodies are small (two scalers + a couple of tiny models);
- *  a header claiming more than this is corruption, not data. */
-constexpr size_t kMaxBundleBytes = 64u << 20;
-constexpr size_t kMaxBundleModels = 16;
 
 /** require() that always classifies the failure as a parse error. */
 void
@@ -168,150 +160,6 @@ loadScaler(std::istream& is)
     auto hi = readDoubles(is, "scaler_hi");
     check(lo.size() == hi.size(), "scaler bound size mismatch");
     return MinMaxScaler::fromBounds(std::move(lo), std::move(hi));
-}
-
-namespace {
-
-template <typename Load, typename Out>
-Status
-tryLoad(std::istream& is, Out& out, Load load, const char* what)
-{
-    try {
-        out = load(is);
-        return {};
-    } catch (const FatalError& e) {
-        return Status::error(e.code(), "model-load",
-                             std::string(what) + ": " + e.what());
-    } catch (const std::exception& e) {
-        return Status::error(DiagCode::ParseError, "model-load",
-                             std::string(what) + ": " + e.what());
-    }
-}
-
-} // namespace
-
-Status
-tryLoadLinear(std::istream& is, LinearModel& out)
-{
-    return tryLoad(is, out, [](std::istream& s) { return loadLinear(s); },
-                   "linear model");
-}
-
-Status
-tryLoadMlp(std::istream& is, Mlp& out)
-{
-    return tryLoad(is, out, [](std::istream& s) { return loadMlp(s); },
-                   "mlp model");
-}
-
-Status
-tryLoadScaler(std::istream& is, MinMaxScaler& out)
-{
-    return tryLoad(is, out, [](std::istream& s) { return loadScaler(s); },
-                   "scaler");
-}
-
-void
-saveSurrogateBundle(std::ostream& os, const SurrogateBundle& b)
-{
-    // Serialize the body first so the header can carry its byte
-    // count and CRC-32: the whole artifact becomes self-validating,
-    // not just each record.
-    std::ostringstream body;
-    writeDoubles(body, "surrogate_meta",
-                 {b.useMlp ? 1.0 : 0.0, double(b.numModels())});
-    saveScaler(body, b.features);
-    saveScaler(body, b.targets);
-    if (b.useMlp) {
-        for (const Mlp& net : b.nets)
-            saveMlp(body, net);
-    } else {
-        for (const LinearModel& m : b.linears)
-            saveLinear(body, m);
-    }
-    const std::string bytes = body.str();
-    char crc[9];
-    std::snprintf(crc, sizeof crc, "%08x", unsigned(crc32(bytes)));
-    os << kBundleMagic << " " << bytes.size() << " " << crc << "\n"
-       << bytes;
-}
-
-SurrogateBundle
-loadSurrogateBundle(std::istream& is)
-{
-    std::string header;
-    std::getline(is, header);
-    check(bool(is), "surrogate bundle: missing header");
-    unsigned long long nbytes = 0;
-    unsigned crc = 0;
-    check(std::sscanf(header.c_str(), "# dhdl-surrogate v1 %llu %8x",
-                      &nbytes, &crc) == 2,
-          "surrogate bundle: unrecognized header '" + header + "'");
-    check(nbytes <= kMaxBundleBytes,
-          "surrogate bundle: body size " + std::to_string(nbytes) +
-              " exceeds the " + std::to_string(kMaxBundleBytes) +
-              "-byte limit");
-    // Read and checksum the exact body before parsing one record: a
-    // truncated file or a flipped bit fails here, wholesale.
-    std::string bytes(size_t(nbytes), '\0');
-    is.read(bytes.data(), std::streamsize(nbytes));
-    check(size_t(is.gcount()) == size_t(nbytes),
-          "surrogate bundle: truncated body (" +
-              std::to_string(is.gcount()) + " of " +
-              std::to_string(nbytes) + " bytes)");
-    check(crc32(bytes) == crc,
-          "surrogate bundle: body CRC mismatch");
-
-    std::istringstream body(bytes);
-    auto meta = readDoubles(body, "surrogate_meta");
-    check(meta.size() == 2, "surrogate bundle: malformed meta record");
-    check(meta[0] == 0.0 || meta[0] == 1.0,
-          "surrogate bundle: bad model-kind flag");
-    check(meta[1] == std::floor(meta[1]) && meta[1] >= 1 &&
-              meta[1] <= double(kMaxBundleModels),
-          "surrogate bundle: model count out of range");
-
-    SurrogateBundle out;
-    out.useMlp = meta[0] == 1.0;
-    out.features = loadScaler(body);
-    out.targets = loadScaler(body);
-    const size_t n = size_t(meta[1]);
-    for (size_t i = 0; i < n; ++i) {
-        if (out.useMlp)
-            out.nets.push_back(loadMlp(body));
-        else
-            out.linears.push_back(loadLinear(body));
-    }
-    check(out.features.columns() > 0,
-          "surrogate bundle: empty feature scaler");
-    check(out.targets.columns() == n,
-          "surrogate bundle: target scaler arity does not match the "
-          "model count");
-    if (out.useMlp) {
-        for (const Mlp& net : out.nets) {
-            check(size_t(net.layers().front()) ==
-                      out.features.columns(),
-                  "surrogate bundle: model input arity does not match "
-                  "the feature scaler");
-            check(net.layers().back() == 1,
-                  "surrogate bundle: model must be single-output");
-        }
-    } else {
-        for (const LinearModel& m : out.linears)
-            check(m.weights().size() == out.features.columns(),
-                  "surrogate bundle: model input arity does not match "
-                  "the feature scaler");
-    }
-    return out;
-}
-
-Status
-tryLoadSurrogateBundle(std::istream& is, SurrogateBundle& out)
-{
-    return tryLoad(
-        is, out,
-        [](std::istream& s) { return loadSurrogateBundle(s); },
-        "surrogate bundle");
 }
 
 } // namespace dhdl::ml

@@ -15,8 +15,12 @@
  * sizes, and truncated payloads are all rejected with a FatalError
  * carrying DiagCode::ParseError; a short read can never yield
  * uninitialized doubles or UB. A record without the magic line is
- * refused the same way. The tryLoad*() wrappers return the failure
- * as a structured Status for callers that must not throw.
+ * refused the same way.
+ *
+ * The one reader is est::AreaEstimator(device, stream) (with its
+ * AreaModel::load), which reloads a persisted calibration. The DSE
+ * surrogate keeps its models in memory for one run and writes no
+ * file.
  */
 
 #ifndef DHDL_ML_SERIALIZE_HH
@@ -26,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/diag.hh"
 #include "ml/linreg.hh"
 #include "ml/mlp.hh"
 #include "ml/scaler.hh"
@@ -56,52 +59,6 @@ Mlp loadMlp(std::istream& is);
 
 void saveScaler(std::ostream& os, const MinMaxScaler& s);
 MinMaxScaler loadScaler(std::istream& is);
-
-/**
- * Non-throwing loaders: the ParseError comes back as an error
- * Status instead of an exception, for callers (tools, services)
- * where a damaged calibration file must degrade, not die.
- */
-Status tryLoadLinear(std::istream& is, LinearModel& out);
-Status tryLoadMlp(std::istream& is, Mlp& out);
-Status tryLoadScaler(std::istream& is, MinMaxScaler& out);
-
-/**
- * A complete surrogate artifact: the feature and target scalers plus
- * the per-target models, bundled so `dhdlc explore --strategy
- * surrogate --save-model/--load-model` moves one self-validating
- * file. Either the Mlp or the LinearModel vector is populated
- * (`useMlp` says which); models are per-target, in target order.
- */
-struct SurrogateBundle {
-    MinMaxScaler features;
-    MinMaxScaler targets;
-    bool useMlp = true;
-    std::vector<Mlp> nets;
-    std::vector<LinearModel> linears;
-
-    size_t
-    numModels() const
-    {
-        return useMlp ? nets.size() : linears.size();
-    }
-};
-
-/**
- * Bundle framing hardens the whole artifact, not just each record: a
- * `# dhdl-surrogate v1 <bytes> <crc32>` header carries the byte count
- * and IEEE CRC-32 of the serialized body, verified before any record
- * is parsed. Truncation, bit flips and foreign files all fail as
- * structured ParseErrors (exercised by the misuse corpus), never as
- * partial loads.
- */
-void saveSurrogateBundle(std::ostream& os, const SurrogateBundle& b);
-
-/** Load and fully validate a bundle; throws FatalError(ParseError). */
-SurrogateBundle loadSurrogateBundle(std::istream& is);
-
-/** Non-throwing form of loadSurrogateBundle(). */
-Status tryLoadSurrogateBundle(std::istream& is, SurrogateBundle& out);
 
 } // namespace dhdl::ml
 

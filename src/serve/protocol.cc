@@ -191,10 +191,6 @@ forEachConfigKey(F&& f)
     f("time_budget",
       [](auto& c) -> auto& { return c.timeBudgetSeconds; });
     f("strategy", [](auto& c) -> auto& { return c.strategy; });
-    f("initial_points",
-      [](auto& c) -> auto& { return c.surrogate.initialPoints; });
-    f("max_rounds",
-      [](auto& c) -> auto& { return c.surrogate.maxRounds; });
 }
 
 } // namespace

@@ -151,6 +151,39 @@ TEST(ParamTableTest, IsLegalChecksEveryParam)
     EXPECT_FALSE(t.isLegal(wrong_size));
 }
 
+TEST(ParamTableTest, AllLegalValuesMatchesEachParameter)
+{
+    // Shared and distinct definitions, including two that differ only
+    // in a default that decides their (otherwise empty) legal set.
+    ParamTable t;
+    auto add = [&](ParamKind kind, int64_t divisorOf, int64_t lo,
+                   int64_t hi, int64_t dflt) {
+        ParamDef d;
+        d.name = "p" + std::to_string(t.size());
+        d.kind = kind;
+        d.divisorOf = divisorOf;
+        d.minValue = lo;
+        d.maxValue = hi;
+        d.defaultValue = dflt;
+        t.add(d);
+    };
+    add(ParamKind::TileSize, 96, 1, 96, 1);
+    add(ParamKind::TileSize, 96, 1, 96, 1);
+    add(ParamKind::ParFactor, 96, 1, 96, 1);
+    add(ParamKind::TileSize, 96, 1, 8, 1);
+    add(ParamKind::TileSize, 7, 2, 6, 3);
+    add(ParamKind::TileSize, 7, 2, 6, 5);
+    add(ParamKind::Toggle, 0, 0, 1, 1);
+    add(ParamKind::Fixed, 0, 1, 1, 4);
+    add(ParamKind::TileSize, 96, 1, 96, 1);
+    const auto all = t.allLegalValues();
+    ASSERT_EQ(all.size(), t.size());
+    for (size_t i = 0; i < t.size(); ++i)
+        EXPECT_EQ(all[i], t.legalValues(ParamId(i))) << "param " << i;
+    EXPECT_EQ(all[4], (std::vector<int64_t>{3}));
+    EXPECT_EQ(all[5], (std::vector<int64_t>{5}));
+}
+
 TEST(ParamTableTest, UnnamedParamRejected)
 {
     ParamTable t;

@@ -515,13 +515,12 @@ ExploreConfig
 writerConfig(StrategyKind strategy)
 {
     ExploreConfig cfg;
-    cfg.maxPoints = 300;
+    // The surrogate refits between its many small rounds; a smaller
+    // sample set keeps its arm of each case quick.
+    cfg.maxPoints = strategy == StrategyKind::Surrogate ? 120 : 300;
     cfg.seed = 4321;
     cfg.checkpointEvery = 37;
     cfg.strategy = strategy;
-    cfg.surrogate.initialPoints = 32;
-    cfg.surrogate.roundGrowth = 2.0;
-    cfg.surrogate.trainEpochs = 20;
     return cfg;
 }
 

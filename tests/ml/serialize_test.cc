@@ -216,146 +216,28 @@ TEST(SerializeHardening, ParseFailuresCarryParseErrorCode)
     }
 }
 
-TEST(SerializeHardening, TryLoadReturnsStructuredStatus)
+TEST(SerializeHardening, LoadersNameTheDamagedRecord)
 {
-    // Damaged input: an error Status with a ParseError Diag, no
-    // exception crossing the boundary.
+    // Damaged input: a ParseError naming the bad record.
     std::stringstream bad(kHeader + "mlp_layers 1 v1\nnot-a-number\n");
-    Mlp net({2, 2});
-    Status st = tryLoadMlp(bad, net);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.diag().code, DiagCode::ParseError);
-    EXPECT_EQ(st.diag().stage, "model-load");
-    EXPECT_TRUE(contains(st.diag().message,
-                         "bad value 'not-a-number' in model record "
-                         "'mlp_layers'"))
-        << st.diag().message;
+    expectParseError([&] { loadMlp(bad); },
+                     "bad value 'not-a-number' in model record "
+                     "'mlp_layers'");
 
-    // Intact input: loads and reports ok.
+    // Intact input loads.
     std::stringstream good;
     Mlp ref({3, 4, 1}, 11);
     saveMlp(good, ref);
-    Status ok = tryLoadMlp(good, net);
-    ASSERT_TRUE(ok.ok());
-    EXPECT_EQ(net.params(), ref.params());
+    EXPECT_EQ(loadMlp(good).params(), ref.params());
 
     std::stringstream badLin(kHeader + "linear 0 v1\n\n");
-    LinearModel lm;
-    Status lin = tryLoadLinear(badLin, lm);
-    ASSERT_FALSE(lin.ok());
-    EXPECT_TRUE(contains(lin.diag().message, "linear model payload empty"))
-        << lin.diag().message;
+    expectParseError([&] { loadLinear(badLin); },
+                     "linear model payload empty");
 
     std::stringstream badScaler(kHeader + "scaler_lo 1 v1\n1.0\n" +
                                 kHeader + "scaler_hi 2 v1\n1.0 2.0\n");
-    MinMaxScaler sc;
-    Status scaler = tryLoadScaler(badScaler, sc);
-    ASSERT_FALSE(scaler.ok());
-    EXPECT_TRUE(contains(scaler.diag().message,
-                         "scaler bound size mismatch"))
-        << scaler.diag().message;
-}
-
-SurrogateBundle
-makeBundle(bool mlp)
-{
-    SurrogateBundle b;
-    b.features.fit({{0, 1, -2}, {4, 3, 2}});
-    b.targets.fit({{1, 10}, {5, 20}});
-    b.useMlp = mlp;
-    if (mlp) {
-        b.nets.emplace_back(std::vector<int>{3, 4, 1}, 7);
-        b.nets.emplace_back(std::vector<int>{3, 4, 1}, 9);
-    } else {
-        LinearModel m;
-        m.fit({{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1}},
-              {1, 2, 3, 6});
-        b.linears.push_back(m);
-        b.linears.push_back(std::move(m));
-    }
-    return b;
-}
-
-TEST(SurrogateBundleTest, MlpRoundTripPredictsBitExact)
-{
-    SurrogateBundle b = makeBundle(true);
-    std::stringstream ss;
-    saveSurrogateBundle(ss, b);
-    SurrogateBundle back = loadSurrogateBundle(ss);
-    ASSERT_TRUE(back.useMlp);
-    ASSERT_EQ(back.numModels(), 2u);
-    const std::vector<double> in{0.2, -0.4, 0.9};
-    for (size_t t = 0; t < 2; ++t)
-        EXPECT_EQ(back.nets[t].forward(in), b.nets[t].forward(in));
-    for (size_t c = 0; c < 3; ++c)
-        EXPECT_DOUBLE_EQ(back.features.scaleColumn(c, 0.5),
-                         b.features.scaleColumn(c, 0.5));
-}
-
-TEST(SurrogateBundleTest, LinearRoundTrip)
-{
-    SurrogateBundle b = makeBundle(false);
-    std::stringstream ss;
-    saveSurrogateBundle(ss, b);
-    SurrogateBundle back = loadSurrogateBundle(ss);
-    ASSERT_FALSE(back.useMlp);
-    ASSERT_EQ(back.numModels(), 2u);
-    EXPECT_DOUBLE_EQ(back.linears[0].predict({1, 2, 3}),
-                     b.linears[0].predict({1, 2, 3}));
-}
-
-TEST(SurrogateBundleHardening, MisuseCorpusAllFailStructured)
-{
-    SurrogateBundle b = makeBundle(true);
-    std::stringstream ref;
-    saveSurrogateBundle(ref, b);
-    const std::string bytes = ref.str();
-
-    // Every mutation below must produce a clean ParseError status —
-    // never a partial bundle, a crash, or a giant allocation.
-    std::vector<std::string> corpus;
-    corpus.push_back("");                         // empty file
-    corpus.push_back("# dhdl-model v1\nvec 1 v1\n1.0\n"); // foreign
-    corpus.push_back("# dhdl-surrogate v2 8 00000000\nxxxxxxxx");
-    corpus.push_back("# dhdl-surrogate v1 99999999999999 00000000\n");
-    corpus.push_back(bytes.substr(0, bytes.size() / 2)); // truncated
-    corpus.push_back(bytes.substr(0, bytes.find('\n') + 1)); // header only
-    {
-        std::string flip = bytes;          // one bit flip in the body
-        flip[bytes.find('\n') + 10] ^= 0x4;
-        corpus.push_back(flip);
-    }
-    {
-        std::string lied = bytes;          // header claims more bytes
-        lied.replace(lied.find(' ', 20), 0, "9");
-        corpus.push_back(lied);
-    }
-    for (size_t i = 0; i < corpus.size(); ++i) {
-        std::stringstream ss(corpus[i]);
-        SurrogateBundle out;
-        Status st = tryLoadSurrogateBundle(ss, out);
-        ASSERT_FALSE(st.ok()) << "corpus entry " << i;
-        EXPECT_EQ(st.diag().code, DiagCode::ParseError)
-            << "corpus entry " << i;
-    }
-}
-
-TEST(SurrogateBundleHardening, InconsistentModelCountRejected)
-{
-    // One model per target column is the consistency contract: a
-    // bundle carrying one net against a two-column target scaler
-    // passes the CRC (it was honestly written) but must fail the
-    // record-level validation.
-    SurrogateBundle b = makeBundle(true);
-    b.nets.pop_back();
-    std::stringstream ss;
-    saveSurrogateBundle(ss, b);
-    SurrogateBundle out;
-    Status st = tryLoadSurrogateBundle(ss, out);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.diag().code, DiagCode::ParseError);
-    EXPECT_NE(st.diag().message.find("model count"),
-              std::string::npos);
+    expectParseError([&] { loadScaler(badScaler); },
+                     "scaler bound size mismatch");
 }
 
 } // namespace

@@ -98,10 +98,6 @@ struct Args {
     long long seed = -1;   //!< -1 keeps the ExploreConfig default.
     long long checkpointEvery = 0; //!< 0 keeps the default cadence.
     std::string strategy;  //!< "random" (default) or "surrogate".
-    int initialPoints = 0; //!< >0 overrides the surrogate seed round.
-    int maxRounds = 0;     //!< >0 caps surrogate rounds.
-    std::string saveModel; //!< Persist the trained surrogate bundle.
-    std::string loadModel; //!< Warm-start from a saved bundle.
     std::string server;    //!< dhdld address ("host:port" or "port").
     std::string tenant;    //!< Tenant id for serving admission.
     long long job = -1;    //!< Job id for status/result/cancel.
@@ -126,10 +122,6 @@ flagTable()
         {"--checkpoint-every", "N", num(&Args::checkpointEvery)},
         {"--resume", nullptr, flag(&Args::resume)},
         {"--strategy", "random|surrogate", str(&Args::strategy)},
-        {"--initial-points", "N", num(&Args::initialPoints)},
-        {"--max-rounds", "R", num(&Args::maxRounds)},
-        {"--save-model", "FILE", str(&Args::saveModel)},
-        {"--load-model", "FILE", str(&Args::loadModel)},
         {"--server", "HOST:PORT", str(&Args::server)},
         {"--tenant", "NAME", str(&Args::tenant)},
         {"--job", "ID", num(&Args::job)},
@@ -226,12 +218,6 @@ makeConfig(const Args& args)
         if (!st.ok())
             fatal(st.diag().message, st.diag().code);
     }
-    if (args.initialPoints > 0)
-        cfg.surrogate.initialPoints = args.initialPoints;
-    if (args.maxRounds > 0)
-        cfg.surrogate.maxRounds = args.maxRounds;
-    cfg.surrogate.saveModelPath = args.saveModel;
-    cfg.surrogate.loadModelPath = args.loadModel;
     return cfg;
 }
 
