@@ -13,8 +13,7 @@ PassManager::run(const Graph& g, PassContext& ctx)
     executed_.reserve(passes_.size());
     for (const Entry& e : passes_) {
         executed_.push_back(e.name);
-        const bool rec = obs::enabled();
-        const uint64_t t0 = rec ? obs::nowMicros() : 0;
+        const uint64_t t0 = obs::nowMicros();
         Status st;
         try {
             st = e.fn(g, ctx);
@@ -22,12 +21,10 @@ PassManager::run(const Graph& g, PassContext& ctx)
             Diag d = diagFromCurrentException(e.name);
             st = Status::error(d);
         }
-        if (rec) {
-            const uint64_t dur = obs::nowMicros() - t0;
-            obs::recordSpan("pass", e.name.c_str(), t0, dur);
-            obs::addCounter("pass." + e.name + ".us", dur);
-            obs::addCounter("pass." + e.name + ".runs", 1);
-        }
+        const uint64_t dur = obs::nowMicros() - t0;
+        obs::recordSpan("pass", e.name.c_str(), t0, dur);
+        obs::addCounter("pass." + e.name + ".us", dur);
+        obs::addCounter("pass." + e.name + ".runs", 1);
         if (!st.ok()) {
             ctx.sink().report(st.diag());
             return st;
@@ -49,14 +46,6 @@ standardPasses()
         if (errs.size() > 1)
             msg += " (+" + std::to_string(errs.size() - 1) + " more)";
         return Status::error(DiagCode::UserError, "validate", msg);
-    });
-    pm.add("fold-constants", [](const Graph& g, PassContext& ctx) {
-        ctx.art.foldedConstants = foldConstants(g);
-        return Status();
-    });
-    pm.add("dead-nodes", [](const Graph& g, PassContext& ctx) {
-        ctx.art.deadNodes = findDeadNodes(g);
-        return Status();
     });
     pm.add("stats", [](const Graph& g, PassContext& ctx) {
         ctx.art.stats = computeStats(g);

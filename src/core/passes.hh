@@ -1,10 +1,9 @@
 /**
  * @file
  * Instrumented pass pipeline over DHDL graphs. The loose analysis
- * entry points (validate, foldConstants, findDeadNodes, computeStats)
- * are still callable directly, but the toolchain front door — dhdlc
- * and anything that loads a `.dhdl` file — runs them through a
- * PassManager so that:
+ * entry points (validate, computeStats) are still callable directly,
+ * but the toolchain front door — dhdlc and anything that loads a
+ * `.dhdl` file — runs them through a PassManager so that:
  *
  *  - every pass is recorded through the obs subsystem (a trace span
  *    plus `pass.<name>.us` / `pass.<name>.runs` counters), the same
@@ -38,8 +37,6 @@ namespace dhdl {
  */
 struct PassArtifacts {
     std::vector<std::string> validationErrors;
-    std::vector<std::pair<NodeId, double>> foldedConstants;
-    std::vector<NodeId> deadNodes;
     GraphStats stats;
 };
 
@@ -68,7 +65,7 @@ using PassFn = std::function<Status(const Graph&, PassContext&)>;
  * Ordered pass pipeline. Runs passes in registration order, stops at
  * the first failure, and converts any exception escaping a pass into
  * a Diag — run() never throws. Per-pass wall-clock lands in the obs
- * registry and trace (category "pass") when recording is enabled.
+ * registry and trace (category "pass").
  */
 class PassManager
 {
@@ -105,8 +102,8 @@ class PassManager
 };
 
 /**
- * The standard analysis pipeline: validate, fold-constants,
- * dead-nodes, stats. Artifacts land in PassContext::art.
+ * The standard analysis pipeline: validate, stats. Artifacts land in
+ * PassContext::art.
  */
 PassManager standardPasses();
 

@@ -1,223 +1,8 @@
 #include "core/transform.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace dhdl {
-
-std::optional<double>
-evalConstOp(Op op, const std::vector<double>& in)
-{
-    auto a = [&](size_t i) { return in[i]; };
-    switch (op) {
-      case Op::Add: return in.size() == 2 ? std::optional(a(0) + a(1))
-                                          : std::nullopt;
-      case Op::Sub: return in.size() == 2 ? std::optional(a(0) - a(1))
-                                          : std::nullopt;
-      case Op::Mul: return in.size() == 2 ? std::optional(a(0) * a(1))
-                                          : std::nullopt;
-      case Op::Div:
-        if (in.size() != 2 || a(1) == 0.0)
-            return std::nullopt;
-        return a(0) / a(1);
-      case Op::Mod:
-        if (in.size() != 2 || a(1) == 0.0)
-            return std::nullopt;
-        return std::fmod(a(0), a(1));
-      case Op::Min: return in.size() == 2
-                               ? std::optional(std::min(a(0), a(1)))
-                               : std::nullopt;
-      case Op::Max: return in.size() == 2
-                               ? std::optional(std::max(a(0), a(1)))
-                               : std::nullopt;
-      case Op::Lt: return in.size() == 2
-                              ? std::optional(a(0) < a(1) ? 1.0 : 0.0)
-                              : std::nullopt;
-      case Op::Le: return in.size() == 2
-                              ? std::optional(a(0) <= a(1) ? 1.0 : 0.0)
-                              : std::nullopt;
-      case Op::Gt: return in.size() == 2
-                              ? std::optional(a(0) > a(1) ? 1.0 : 0.0)
-                              : std::nullopt;
-      case Op::Ge: return in.size() == 2
-                              ? std::optional(a(0) >= a(1) ? 1.0 : 0.0)
-                              : std::nullopt;
-      case Op::Eq: return in.size() == 2
-                              ? std::optional(a(0) == a(1) ? 1.0 : 0.0)
-                              : std::nullopt;
-      case Op::Neq: return in.size() == 2
-                               ? std::optional(a(0) != a(1) ? 1.0
-                                                            : 0.0)
-                               : std::nullopt;
-      case Op::And:
-        return in.size() == 2
-                   ? std::optional(a(0) != 0 && a(1) != 0 ? 1.0 : 0.0)
-                   : std::nullopt;
-      case Op::Or:
-        return in.size() == 2
-                   ? std::optional(a(0) != 0 || a(1) != 0 ? 1.0 : 0.0)
-                   : std::nullopt;
-      case Op::Not: return in.size() == 1
-                               ? std::optional(a(0) != 0 ? 0.0 : 1.0)
-                               : std::nullopt;
-      case Op::Mux:
-        return in.size() == 3
-                   ? std::optional(a(0) != 0 ? a(1) : a(2))
-                   : std::nullopt;
-      case Op::Abs: return in.size() == 1
-                               ? std::optional(std::fabs(a(0)))
-                               : std::nullopt;
-      case Op::Neg: return in.size() == 1 ? std::optional(-a(0))
-                                          : std::nullopt;
-      case Op::Sqrt:
-        if (in.size() != 1 || a(0) < 0)
-            return std::nullopt;
-        return std::sqrt(a(0));
-      case Op::Exp: return in.size() == 1
-                               ? std::optional(std::exp(a(0)))
-                               : std::nullopt;
-      case Op::Log:
-        if (in.size() != 1 || a(0) <= 0)
-            return std::nullopt;
-        return std::log(a(0));
-      case Op::ToFloat:
-      case Op::ToFixed:
-        return in.size() == 1 ? std::optional(a(0)) : std::nullopt;
-      default:
-        return std::nullopt;
-    }
-}
-
-std::vector<std::pair<NodeId, double>>
-foldConstants(const Graph& g)
-{
-    std::unordered_map<NodeId, double> folded;
-    // Ids are topologically ordered by construction, so one pass
-    // propagates constants through arbitrarily deep expressions.
-    for (NodeId id = 0; id < NodeId(g.numNodes()); ++id) {
-        const auto* p = g.tryAs<PrimNode>(id);
-        if (!p)
-            continue;
-        if (p->op == Op::Const) {
-            folded[id] = p->constValue;
-            continue;
-        }
-        if (p->op == Op::Iter || p->inputs.empty())
-            continue;
-        std::vector<double> in;
-        in.reserve(p->inputs.size());
-        bool all_const = true;
-        for (NodeId i : p->inputs) {
-            auto it = folded.find(i);
-            if (it == folded.end()) {
-                all_const = false;
-                break;
-            }
-            in.push_back(it->second);
-        }
-        if (!all_const)
-            continue;
-        auto v = evalConstOp(p->op, in);
-        if (v)
-            folded[id] = *v;
-    }
-    // Plain Const nodes are already constants; report only derived
-    // foldings, in ascending id order.
-    std::vector<std::pair<NodeId, double>> out;
-    out.reserve(folded.size());
-    for (NodeId id = 0; id < NodeId(g.numNodes()); ++id) {
-        const auto* p = g.tryAs<PrimNode>(id);
-        if (p && p->op == Op::Const)
-            continue;
-        auto it = folded.find(id);
-        if (it != folded.end())
-            out.emplace_back(id, it->second);
-    }
-    return out;
-}
-
-std::vector<NodeId>
-findDeadNodes(const Graph& g)
-{
-    // Roots of liveness: stores (value + address), transfer base
-    // addresses, and reduce body results.
-    std::vector<NodeId> work;
-    std::unordered_set<NodeId> live;
-    auto mark = [&](NodeId id) {
-        if (id != kNoNode && live.insert(id).second)
-            work.push_back(id);
-    };
-
-    for (NodeId id = 0; id < NodeId(g.numNodes()); ++id) {
-        const Node& n = g.node(id);
-        switch (n.kind()) {
-          case NodeKind::Store: {
-            const auto& s = g.nodeAs<StoreNode>(id);
-            mark(s.value);
-            for (NodeId a : s.addr)
-                mark(a);
-            break;
-          }
-          case NodeKind::TileLd: {
-            for (NodeId b : g.nodeAs<TileLdNode>(id).base)
-                mark(b);
-            break;
-          }
-          case NodeKind::TileSt: {
-            for (NodeId b : g.nodeAs<TileStNode>(id).base)
-                mark(b);
-            break;
-          }
-          case NodeKind::Pipe:
-          case NodeKind::Sequential:
-          case NodeKind::ParallelCtrl:
-          case NodeKind::MetaPipe: {
-            const auto& c = g.nodeAs<ControllerNode>(id);
-            if (c.pattern == Pattern::Reduce)
-                mark(c.bodyResult);
-            break;
-          }
-          case NodeKind::Load: {
-            // Load addresses become live only if the load itself is
-            // live; handled in propagation below.
-            break;
-          }
-          default:
-            break;
-        }
-    }
-
-    // Propagate liveness through data inputs.
-    while (!work.empty()) {
-        NodeId id = work.back();
-        work.pop_back();
-        const Node& n = g.node(id);
-        if (const auto* p = g.tryAs<PrimNode>(id)) {
-            for (NodeId i : p->inputs)
-                mark(i);
-        } else if (const auto* l = g.tryAs<LoadNode>(id)) {
-            for (NodeId a : l->addr)
-                mark(a);
-        }
-        (void)n;
-    }
-
-    // Dead = value-producing primitives that never became live;
-    // ascending id order by construction.
-    std::vector<NodeId> dead;
-    for (NodeId id = 0; id < NodeId(g.numNodes()); ++id) {
-        const Node& n = g.node(id);
-        bool value_node =
-            n.kind() == NodeKind::Load ||
-            (n.kind() == NodeKind::Prim &&
-             g.nodeAs<PrimNode>(id).op != Op::Iter);
-        if (value_node && !live.count(id))
-            dead.push_back(id);
-    }
-    return dead;
-}
 
 GraphStats
 computeStats(const Graph& g)

@@ -1,52 +1,15 @@
 /**
  * @file
- * IR transformation and analysis passes over DHDL graphs. The paper's
- * frontend (Step 1 of Figure 1) performs high-level optimizations
- * before handing the tiled design to estimation; these passes cover
- * the target-agnostic cleanups that remain useful at the DHDL level:
- * constant folding of primitive subgraphs, dead-node elimination, and
- * design statistics used by reports and the benches.
- *
- * Graphs are arena-allocated and immutable in shape, so passes mark
- * results rather than physically deleting nodes: downstream analyses
- * (expansion, simulation, codegen) consult the returned sets.
+ * Design statistics over DHDL graphs, used by reports, `dhdlc print`
+ * and the benches.
  */
 
 #ifndef DHDL_CORE_TRANSFORM_HH
 #define DHDL_CORE_TRANSFORM_HH
 
-#include <optional>
-#include <utility>
-#include <vector>
-
 #include "core/graph.hh"
 
 namespace dhdl {
-
-/**
- * Constant folding: evaluate primitive nodes whose operands are all
- * Const nodes. Returns (node id, folded value) pairs sorted by node
- * id — a deterministic order, stable across platforms and hash-table
- * implementations, so pass output can be printed or golden-tested
- * byte-for-byte. Graphs stay untouched (consumers may substitute the
- * values).
- */
-std::vector<std::pair<NodeId, double>> foldConstants(const Graph& g);
-
-/**
- * Evaluate one primitive op on constant operands (exposed for tests
- * and for the folding pass). Returns nullopt for non-foldable ops
- * (Iter, loads) or arity mismatch.
- */
-std::optional<double> evalConstOp(Op op, const std::vector<double>& in);
-
-/**
- * Dead-node elimination: primitives whose values can never reach a
- * store, a tile transfer, a reduce result, or a controller structure.
- * Returns the dead node ids sorted ascending (deterministic across
- * platforms and thread counts).
- */
-std::vector<NodeId> findDeadNodes(const Graph& g);
 
 /** Aggregate design statistics (used by reports and examples). */
 struct GraphStats {

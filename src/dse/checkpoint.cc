@@ -270,10 +270,8 @@ CheckpointWriter::render(const std::vector<DesignPoint>& points)
         }
         content_.append(arena_, l.off, l.len);
     }
-    if (rendered > 0 && obs::enabled()) {
-        static const obs::Counter cRendered("dse.checkpoint.rendered");
-        cRendered.add(rendered);
-    }
+    static const obs::Counter cRendered("dse.checkpoint.rendered");
+    cRendered.add(rendered);
     return content_;
 }
 
@@ -286,12 +284,10 @@ CheckpointWriter::write(const std::string& path,
     // content_ is reassembled from the cache by every render(), so an
     // injected fault damages this write's bytes and nothing after.
     const bool torn = injectFaults(content_);
-    if (obs::enabled()) {
-        static const obs::Counter cWrites("dse.checkpoint.writes");
-        static const obs::Counter cBytes("dse.checkpoint.bytes");
-        cWrites.add(1);
-        cBytes.add(content_.size());
-    }
+    static const obs::Counter cWrites("dse.checkpoint.writes");
+    static const obs::Counter cBytes("dse.checkpoint.bytes");
+    cWrites.add(1);
+    cBytes.add(content_.size());
     if (torn) {
         // Torn-tail injection: bypass the atomic protocol on
         // purpose, leaving exactly the file a killed non-atomic
@@ -340,22 +336,16 @@ loadCheckpointFile(const std::string& path, const Graph& g,
     auto finish = [&] {
         if (statsOut)
             *statsOut = ls;
-        if (obs::enabled()) {
-            static const obs::Counter cLoads("dse.checkpoint.loads");
-            static const obs::Counter cRest(
-                "dse.checkpoint.restored");
-            static const obs::Counter cTrunc(
-                "dse.checkpoint.truncated");
-            static const obs::Counter cCorr(
-                "dse.checkpoint.corrupt");
-            static const obs::Counter cStale(
-                "dse.checkpoint.stale");
-            cLoads.add(1);
-            cRest.add(ls.restored);
-            cTrunc.add(ls.truncated);
-            cCorr.add(ls.corrupt);
-            cStale.add(ls.stale);
-        }
+        static const obs::Counter cLoads("dse.checkpoint.loads");
+        static const obs::Counter cRest("dse.checkpoint.restored");
+        static const obs::Counter cTrunc("dse.checkpoint.truncated");
+        static const obs::Counter cCorr("dse.checkpoint.corrupt");
+        static const obs::Counter cStale("dse.checkpoint.stale");
+        cLoads.add(1);
+        cRest.add(ls.restored);
+        cTrunc.add(ls.truncated);
+        cCorr.add(ls.corrupt);
+        cStale.add(ls.stale);
     };
     auto warn = [&](const std::string& msg) {
         sink.report(

@@ -55,8 +55,6 @@ secondsSince(Clock::time_point t0)
 void
 recordRound(const RoundStats& rs)
 {
-    if (!obs::enabled())
-        return;
     auto us = [](double s) {
         return s > 0 ? uint64_t(s * 1e6) : uint64_t(0);
     };
@@ -380,35 +378,33 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     // what `dhdlc --profile`, `--metrics` and the throughput bench
     // render. One source of truth with ExploreStats — same numbers,
     // recorded once per explore() call.
-    if (obs::enabled()) {
-        static const obs::Counter cRuns("dse.explore.runs");
-        static const obs::Counter cUs("dse.explore.us");
-        static const obs::Counter cPlanUs("dse.plan.compile.us");
-        static const obs::Counter cEval("dse.points.evaluated");
-        static const obs::Counter cFail("dse.points.failed");
-        static const obs::Counter cValid("dse.points.valid");
-        static const obs::Counter cSkip("dse.points.skipped");
-        static const obs::Counter cDiags("dse.diags");
-        static const obs::Counter cInst("dse.stage.instantiate.us");
-        static const obs::Counter cArea("dse.stage.area.us");
-        static const obs::Counter cRt("dse.stage.runtime.us");
-        static const obs::Counter cVal("dse.stage.validate.us");
-        auto us = [](double s) {
-            return s > 0 ? uint64_t(s * 1e6) : uint64_t(0);
-        };
-        cRuns.add(1);
-        cUs.add(us(res.stats.seconds));
-        cPlanUs.add(us(res.stats.planSeconds));
-        cEval.add(res.stats.evaluated);
-        cFail.add(res.stats.failed);
-        cValid.add(res.stats.valid);
-        cSkip.add(res.stats.skipped);
-        cDiags.add(res.diags.size());
-        cInst.add(us(res.stats.stages.instantiate));
-        cArea.add(us(res.stats.stages.area));
-        cRt.add(us(res.stats.stages.runtime));
-        cVal.add(us(res.stats.stages.validate));
-    }
+    static const obs::Counter cRuns("dse.explore.runs");
+    static const obs::Counter cUs("dse.explore.us");
+    static const obs::Counter cPlanUs("dse.plan.compile.us");
+    static const obs::Counter cEval("dse.points.evaluated");
+    static const obs::Counter cFail("dse.points.failed");
+    static const obs::Counter cValid("dse.points.valid");
+    static const obs::Counter cSkip("dse.points.skipped");
+    static const obs::Counter cDiags("dse.diags");
+    static const obs::Counter cInst("dse.stage.instantiate.us");
+    static const obs::Counter cArea("dse.stage.area.us");
+    static const obs::Counter cRt("dse.stage.runtime.us");
+    static const obs::Counter cVal("dse.stage.validate.us");
+    auto us = [](double s) {
+        return s > 0 ? uint64_t(s * 1e6) : uint64_t(0);
+    };
+    cRuns.add(1);
+    cUs.add(us(res.stats.seconds));
+    cPlanUs.add(us(res.stats.planSeconds));
+    cEval.add(res.stats.evaluated);
+    cFail.add(res.stats.failed);
+    cValid.add(res.stats.valid);
+    cSkip.add(res.stats.skipped);
+    cDiags.add(res.diags.size());
+    cInst.add(us(res.stats.stages.instantiate));
+    cArea.add(us(res.stats.stages.area));
+    cRt.add(us(res.stats.stages.runtime));
+    cVal.add(us(res.stats.stages.validate));
     return res;
 }
 

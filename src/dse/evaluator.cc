@@ -98,24 +98,21 @@ Evaluator::run(DesignPoint& p, size_t idx, const Hook* hook,
     // Tracing rides the clock reads StageTimes already pays for: one
     // complete span per stage, tagged with the point index, plus the
     // whole-point latency histogram. Purely additive — no effect on
-    // p, so golden outputs are identical with tracing on or off.
-    if (obs::enabled()) {
-        static const obs::Histogram pointLatency(
-            "dse.eval.point.us",
-            {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096,
-             16384});
-        const uint64_t u0 = obs::toMicros(t0);
-        const uint64_t u1 = obs::toMicros(t1);
-        const uint64_t u2 = obs::toMicros(t2);
-        const uint64_t u3 = obs::toMicros(t3);
-        const uint64_t u4 = obs::toMicros(t4);
-        const int64_t i = int64_t(idx);
-        obs::recordSpan("dse", "instantiate", u0, u1 - u0, i);
-        obs::recordSpan("dse", "area", u1, u2 - u1, i);
-        obs::recordSpan("dse", "runtime", u2, u3 - u2, i);
-        obs::recordSpan("dse", "validate", u3, u4 - u3, i);
-        pointLatency.observe(u4 - u0);
-    }
+    // p, so golden outputs do not depend on it.
+    static const obs::Histogram pointLatency(
+        "dse.eval.point.us",
+        {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384});
+    const uint64_t u0 = obs::toMicros(t0);
+    const uint64_t u1 = obs::toMicros(t1);
+    const uint64_t u2 = obs::toMicros(t2);
+    const uint64_t u3 = obs::toMicros(t3);
+    const uint64_t u4 = obs::toMicros(t4);
+    const int64_t i = int64_t(idx);
+    obs::recordSpan("dse", "instantiate", u0, u1 - u0, i);
+    obs::recordSpan("dse", "area", u1, u2 - u1, i);
+    obs::recordSpan("dse", "runtime", u2, u3 - u2, i);
+    obs::recordSpan("dse", "validate", u3, u4 - u3, i);
+    pointLatency.observe(u4 - u0);
 }
 
 DesignPoint
@@ -275,23 +272,20 @@ Evaluator::evaluateBatch(std::vector<DesignPoint>& points,
     // One span per stage per batch (tagged with the batch's first
     // point) instead of per point: the trace stays readable at
     // batched throughput and the clock reads amortize over the batch.
-    if (obs::enabled()) {
-        static const obs::Histogram batchLatency(
-            "dse.eval.batch.us",
-            {4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384,
-             65536});
-        const uint64_t u0 = obs::toMicros(t0);
-        const uint64_t u1 = obs::toMicros(t1);
-        const uint64_t u2 = obs::toMicros(t2);
-        const uint64_t u3 = obs::toMicros(t3);
-        const uint64_t u4 = obs::toMicros(t4);
-        const int64_t i = int64_t(idxs[0]);
-        obs::recordSpan("dse", "instantiate", u0, u1 - u0, i);
-        obs::recordSpan("dse", "area", u1, u2 - u1, i);
-        obs::recordSpan("dse", "runtime", u2, u3 - u2, i);
-        obs::recordSpan("dse", "validate", u3, u4 - u3, i);
-        batchLatency.observe(u4 - u0);
-    }
+    static const obs::Histogram batchLatency(
+        "dse.eval.batch.us",
+        {4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536});
+    const uint64_t u0 = obs::toMicros(t0);
+    const uint64_t u1 = obs::toMicros(t1);
+    const uint64_t u2 = obs::toMicros(t2);
+    const uint64_t u3 = obs::toMicros(t3);
+    const uint64_t u4 = obs::toMicros(t4);
+    const int64_t i = int64_t(idxs[0]);
+    obs::recordSpan("dse", "instantiate", u0, u1 - u0, i);
+    obs::recordSpan("dse", "area", u1, u2 - u1, i);
+    obs::recordSpan("dse", "runtime", u2, u3 - u2, i);
+    obs::recordSpan("dse", "validate", u3, u4 - u3, i);
+    batchLatency.observe(u4 - u0);
 }
 
 } // namespace dhdl::dse

@@ -37,7 +37,7 @@ class Counter
   public:
     explicit Counter(const std::string& name);
 
-    /** Add n; no-op while recording is disabled. */
+    /** Add n to the calling thread's shard. */
     void add(uint64_t n = 1) const;
 
   private:
@@ -91,7 +91,8 @@ struct HistogramSnapshot {
 /**
  * Point-in-time merge of every shard. Deterministic: entries are
  * sorted by name, values are sums over all threads that ever
- * recorded (shards outlive their threads).
+ * recorded (a shard outlives its thread and passes to the next new
+ * thread unzeroed).
  */
 struct MetricsSnapshot {
     std::vector<std::pair<std::string, uint64_t>> counters;

@@ -11,16 +11,19 @@
  *    racing snapshot is merely slightly stale, never torn);
  *  - trace rings: one vector per thread guarded by a per-thread
  *    mutex (uncontended except while snapshotTrace() drains it);
- *  - the global mutex guards registration, thread naming and the
- *    shard list — never the record hot path.
+ *  - the global mutex guards registration, thread naming, the
+ *    shard list and its free list — never the record hot path;
+ *  - thread exit: a thread_local guard puts the thread's state on
+ *    the free list, and the next new thread takes it over with its
+ *    tid, its metric sums and its retained trace events intact. So
+ *    there are never more states than threads alive at once.
  */
 
 #include "obs/obs.hh"
 
 #include <algorithm>
 #include <array>
-#include <cctype>
-#include <cstdlib>
+#include <atomic>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -38,10 +41,6 @@ namespace {
 constexpr uint32_t kMaxSlots = 1024;
 /** Slot 0 absorbs over-cap registrations (never reported). */
 constexpr uint32_t kSinkSlot = 0;
-
-constexpr size_t kDefaultRingCap = 16384;
-constexpr size_t kMinRingCap = 64;
-constexpr size_t kMaxRingCap = size_t(1) << 20;
 
 enum class Kind : uint8_t { Counter, Histogram };
 
@@ -63,19 +62,6 @@ struct ThreadState {
     uint64_t next = 0; //!< Events ever recorded by this thread.
 };
 
-size_t
-envRingCap()
-{
-    const char* v = std::getenv("DHDL_OBS_RING");
-    if (!v || !*v)
-        return kDefaultRingCap;
-    char* end = nullptr;
-    unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v)
-        return kDefaultRingCap;
-    return std::clamp<size_t>(size_t(n), kMinRingCap, kMaxRingCap);
-}
-
 struct GlobalState {
     const std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
@@ -85,6 +71,7 @@ struct GlobalState {
     // thread_local shard pointers and histogram-bounds pointers rely
     // on.
     std::deque<ThreadState> threads;
+    std::vector<ThreadState*> freeThreads; //!< Left by exited threads.
     std::deque<MetricDef> defs;
     std::unordered_map<std::string, uint32_t> byName;
     uint32_t nextSlot = kSinkSlot + 1;
@@ -93,8 +80,6 @@ struct GlobalState {
     std::deque<std::atomic<int64_t>> gauges;
     std::vector<std::string> gaugeNames;
     std::unordered_map<std::string, uint32_t> gaugeByName;
-
-    std::atomic<size_t> ringCap{envRingCap()};
 };
 
 GlobalState&
@@ -106,21 +91,48 @@ G()
 
 thread_local ThreadState* tlsState = nullptr;
 
-/** The calling thread's shard, registered on first use. */
+/** Hands the thread's state to the free list when the thread exits. */
+struct ThreadExit {
+    ThreadExit() = default;
+    ThreadExit(const ThreadExit&) = delete;
+    ThreadExit& operator=(const ThreadExit&) = delete;
+
+    ~ThreadExit()
+    {
+        GlobalState& g = G();
+        std::lock_guard<std::mutex> lock(g.mu);
+        g.freeThreads.push_back(tlsState);
+        tlsState = nullptr;
+    }
+};
+
+/**
+ * The calling thread's shard: on first use, an exited thread's state
+ * or else a new one.
+ */
 ThreadState&
 ts()
 {
     if (!tlsState) {
         GlobalState& g = G();
         std::lock_guard<std::mutex> lock(g.mu);
-        g.threads.emplace_back();
-        ThreadState& t = g.threads.back();
-        t.tid = uint32_t(g.threads.size() - 1);
-        // The first thread to touch obs is the process main thread
-        // in every binary we ship; label it for trace readability.
-        t.name = t.tid == 0 ? "main"
-                            : "thread-" + std::to_string(t.tid);
-        tlsState = &t;
+        if (!g.freeThreads.empty()) {
+            // The exited thread's events keep its name until the state
+            // changes hands.
+            tlsState = g.freeThreads.back();
+            g.freeThreads.pop_back();
+            tlsState->name = "thread-" + std::to_string(tlsState->tid);
+        } else {
+            ThreadState& t = g.threads.emplace_back();
+            t.tid = uint32_t(g.threads.size() - 1);
+            // The first thread to touch obs is the process main thread
+            // in every binary we ship; label it for trace readability.
+            t.name = t.tid == 0 ? "main"
+                                : "thread-" + std::to_string(t.tid);
+            tlsState = &t;
+        }
+        thread_local ThreadExit onExit;
+        (void)onExit;
     }
     return *tlsState;
 }
@@ -170,32 +182,6 @@ copyTruncated(char* dst, size_t cap, const char* src)
 
 } // namespace
 
-namespace detail {
-std::atomic<bool> gEnabled{envEnabled().value_or(false)};
-} // namespace detail
-
-void
-setEnabled(bool on)
-{
-    detail::gEnabled.store(on, std::memory_order_relaxed);
-}
-
-std::optional<bool>
-envEnabled()
-{
-    const char* v = std::getenv("DHDL_OBS");
-    if (!v || !*v)
-        return std::nullopt;
-    std::string s(v);
-    for (char& c : s)
-        c = char(std::tolower(uint8_t(c)));
-    if (s == "1" || s == "on" || s == "true" || s == "yes")
-        return true;
-    if (s == "0" || s == "off" || s == "false" || s == "no")
-        return false;
-    return std::nullopt;
-}
-
 uint64_t
 nowMicros()
 {
@@ -244,8 +230,6 @@ Counter::Counter(const std::string& name)
 void
 Counter::add(uint64_t n) const
 {
-    if (!enabled())
-        return;
     ts().slots[slot_].fetch_add(n, std::memory_order_relaxed);
 }
 
@@ -267,16 +251,12 @@ Gauge::Gauge(const std::string& name)
 void
 Gauge::set(int64_t v) const
 {
-    if (!enabled())
-        return;
     G().gauges[id_].store(v, std::memory_order_relaxed);
 }
 
 void
 Gauge::add(int64_t delta) const
 {
-    if (!enabled())
-        return;
     G().gauges[id_].fetch_add(delta, std::memory_order_relaxed);
 }
 
@@ -296,8 +276,6 @@ Histogram::Histogram(const std::string& name,
 void
 Histogram::observe(uint64_t v) const
 {
-    if (!enabled())
-        return;
     ThreadState& t = ts();
     if (slot_ == kSinkSlot) { // sunk registration
         t.slots[kSinkSlot].fetch_add(1, std::memory_order_relaxed);
@@ -315,8 +293,6 @@ Histogram::observe(uint64_t v) const
 void
 addCounter(const std::string& name, uint64_t n)
 {
-    if (!enabled())
-        return;
     Counter(name).add(n);
 }
 
@@ -489,12 +465,10 @@ void
 recordSpan(const char* cat, const char* name, uint64_t tsMicros,
            uint64_t durMicros, int64_t arg)
 {
-    if (!enabled())
-        return;
     ThreadState& t = ts();
     std::lock_guard<std::mutex> lock(t.traceMu);
     if (t.ring.empty())
-        t.ring.resize(G().ringCap.load(std::memory_order_relaxed));
+        t.ring.resize(kTraceRingCapacity);
     TraceEvent& e = t.ring[t.next % t.ring.size()];
     copyTruncated(e.name, kTraceNameCap, name);
     copyTruncated(e.cat, kTraceCatCap, cat);
@@ -517,14 +491,6 @@ traceStats()
     }
     s.dropped = s.recorded - s.retained;
     return s;
-}
-
-void
-setRingCapacity(size_t events)
-{
-    G().ringCap.store(
-        std::clamp(events, kMinRingCap, kMaxRingCap),
-        std::memory_order_relaxed);
 }
 
 TraceSnapshot

@@ -1,55 +1,34 @@
 /**
  * @file
- * Observability core: the process-wide enable switch, the trace
- * clock, and per-thread identity. The obs subsystem (metrics.hh,
- * trace.hh) is the single source of truth for timing data across the
- * toolchain — the DSE evaluator's stage times, the pass manager's
- * per-pass wall-clocks and `dhdlc --profile` all render the same
- * registry snapshot.
+ * Observability core: the trace clock and per-thread identity. The
+ * obs subsystem (metrics.hh, trace.hh) is the single source of truth
+ * for timing data across the toolchain — the DSE evaluator's stage
+ * times, the pass manager's per-pass wall-clocks and
+ * `dhdlc --profile` all render the same registry snapshot.
  *
  * Design rules:
  *
  *  - Recording never perturbs results. Instrumentation writes only
  *    to obs-owned state (thread-local metric shards and trace ring
- *    buffers), so golden outputs are byte-identical with tracing on
- *    or off — the golden-equivalence suite pins this.
- *  - Disabled means near-zero cost: every record path starts with a
- *    single relaxed atomic load. Compiling with -DDHDL_OBS_DISABLE
- *    strips the span macros entirely (see trace.hh).
+ *    buffers); the golden suites pin every output byte for byte.
+ *  - Recording is always on and stays off the critical path: one
+ *    relaxed atomic add per metric, one uncontended lock per span.
+ *    `dhdlc --trace/--metrics/--profile` only choose what gets
+ *    written.
+ *  - Memory is bounded by the threads alive at once: a thread's
+ *    state goes back to a free list when it exits, and the next new
+ *    thread reuses it.
  *  - No dependency on dhdl_core: obs sits below every other library.
- *
- * The switch defaults to the DHDL_OBS environment variable ("1",
- * "ON", "TRUE" enable; anything else, or unset, disables) so CI can
- * run the whole test suite traced without touching code.
  */
 
 #ifndef DHDL_OBS_OBS_HH
 #define DHDL_OBS_OBS_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace dhdl::obs {
-
-namespace detail {
-extern std::atomic<bool> gEnabled;
-} // namespace detail
-
-/** Is recording currently on? One relaxed load; safe anywhere. */
-inline bool
-enabled()
-{
-    return detail::gEnabled.load(std::memory_order_relaxed);
-}
-
-/** Turn recording on or off process-wide (overrides DHDL_OBS). */
-void setEnabled(bool on);
-
-/** The DHDL_OBS environment setting; nullopt when unset. */
-std::optional<bool> envEnabled();
 
 /**
  * Microseconds on the trace clock (steady, starts near process
@@ -63,15 +42,16 @@ uint64_t toMicros(std::chrono::steady_clock::time_point tp);
 /**
  * Small dense id of the calling thread, assigned on first use in
  * registration order (the main thread is almost always 0). Stable
- * for the thread's lifetime; trace events carry it as "tid".
+ * for the thread's lifetime; trace events carry it as "tid". A new
+ * thread may reuse the id (and the metric shard and trace ring) of
+ * one that has exited.
  */
 uint32_t threadId();
 
 /**
  * Name the calling thread for trace attribution ("worker-3"). The
  * thread pool names its workers; unnamed threads render as
- * "thread-N". Works whether or not recording is enabled, so
- * diagnostics can attribute work deterministically either way.
+ * "thread-N"; diagnostics carry the name to attribute work.
  */
 void setThreadName(const std::string& name);
 

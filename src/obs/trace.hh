@@ -7,18 +7,18 @@
  * category, start timestamp, duration, thread id, optional integer
  * argument (the explorer stores the design-point index).
  *
- * Ring buffers are fixed-capacity per thread: when a sweep records
- * more events than fit, the oldest are overwritten and the snapshot
- * reports how many were dropped. Each buffer is written only by its
- * owning thread under a per-thread mutex that snapshotTrace() takes
- * when draining — uncontended in steady state, so recording stays
- * O(copy one small struct).
+ * Ring buffers hold kTraceRingCapacity events per thread: when a
+ * sweep records more events than fit, the oldest are overwritten and
+ * the snapshot reports how many were dropped. A thread that exits
+ * leaves its ring, events included, to the next new thread. Each
+ * buffer is written only by its owning thread under a per-thread
+ * mutex that snapshotTrace() takes when draining — uncontended in
+ * steady state, so recording stays O(copy one small struct).
  *
- * Instrument with the DHDL_OBS_SPAN macro (compiles to nothing under
- * -DDHDL_OBS_DISABLE), or call recordSpan() directly when the
- * timestamps already exist — the evaluator reuses the clock reads it
- * takes for StageTimes, so tracing adds no extra clock calls on the
- * hot path.
+ * Instrument with the DHDL_OBS_SPAN macro, or call recordSpan()
+ * directly when the timestamps already exist — the evaluator reuses
+ * the clock reads it takes for StageTimes, so tracing adds no extra
+ * clock calls on the hot path.
  */
 
 #ifndef DHDL_OBS_TRACE_HH
@@ -37,6 +37,9 @@ namespace dhdl::obs {
 constexpr size_t kTraceNameCap = 48;
 constexpr size_t kTraceCatCap = 16;
 
+/** Events each thread's ring buffer holds before it drops oldest. */
+constexpr size_t kTraceRingCapacity = 16384;
+
 /** One completed span in a ring buffer (POD, no heap). */
 struct TraceEvent {
     char name[kTraceNameCap];
@@ -47,8 +50,8 @@ struct TraceEvent {
 };
 
 /**
- * Record a completed span with caller-supplied timestamps. No-op
- * while disabled. `name`/`cat` are truncated to the event caps.
+ * Record a completed span with caller-supplied timestamps.
+ * `name`/`cat` are truncated to the event caps.
  */
 void recordSpan(const char* cat, const char* name, uint64_t tsMicros,
                 uint64_t durMicros, int64_t arg = -1);
@@ -58,8 +61,7 @@ class TraceSpan
 {
   public:
     TraceSpan(const char* cat, const char* name)
-        : cat_(cat), name_(name),
-          start_(enabled() ? nowMicros() : kInactive)
+        : cat_(cat), name_(name), start_(nowMicros())
     {
     }
 
@@ -77,14 +79,10 @@ class TraceSpan
 
     ~TraceSpan()
     {
-        if (start_ != kInactive)
-            recordSpan(cat_, name_, start_, nowMicros() - start_,
-                       arg_);
+        recordSpan(cat_, name_, start_, nowMicros() - start_, arg_);
     }
 
   private:
-    static constexpr uint64_t kInactive = ~uint64_t(0);
-
     const char* cat_;
     const char* name_;
     uint64_t start_;
@@ -99,14 +97,6 @@ struct TraceStats {
 };
 
 TraceStats traceStats();
-
-/**
- * Ring capacity (events per thread) for buffers created after the
- * call; existing buffers keep their size. Also settable via the
- * DHDL_OBS_RING environment variable. Values are clamped to
- * [64, 1<<20]. Default: 16384.
- */
-void setRingCapacity(size_t events);
 
 /** One thread's retained events, in timestamp order. */
 struct ThreadTrace {
@@ -134,18 +124,12 @@ void resetTrace();
 
 } // namespace dhdl::obs
 
-// Scoped-span convenience macro; strips to nothing when obs is
-// compiled out so instrumented hot paths carry zero residue.
-#ifndef DHDL_OBS_DISABLE
+// Scoped-span convenience macro: times the rest of the enclosing
+// scope.
 #define DHDL_OBS_CONCAT_IMPL(a, b) a##b
 #define DHDL_OBS_CONCAT(a, b) DHDL_OBS_CONCAT_IMPL(a, b)
 #define DHDL_OBS_SPAN(cat, name)                                      \
     ::dhdl::obs::TraceSpan DHDL_OBS_CONCAT(obs_span_, __LINE__)(cat,  \
                                                                 name)
-#else
-#define DHDL_OBS_SPAN(cat, name)                                      \
-    do {                                                              \
-    } while (0)
-#endif
 
 #endif // DHDL_OBS_TRACE_HH

@@ -5,7 +5,6 @@
 
 #include "core/checksum.hh"
 #include "core/printer.hh"
-#include "obs/metrics.hh"
 
 namespace dhdl::serve {
 
@@ -39,10 +38,6 @@ PlanCache::touch(Slot& slot, uint64_t key)
 std::shared_ptr<const CachedPlan>
 PlanCache::acquire(Graph g, bool* hit)
 {
-    static const obs::Counter cHit("serve.cache.hit");
-    static const obs::Counter cMiss("serve.cache.miss");
-    static const obs::Counter cEvict("serve.cache.evict");
-
     const std::string ir = emitIR(g);
     const uint64_t key = fnv1a(ir);
     if (hit)
@@ -65,7 +60,6 @@ PlanCache::acquire(Graph g, bool* hit)
                 ++hits_;
                 if (hit)
                     *hit = true;
-                cHit.add(1);
                 return it->second.entry;
             }
             // FNV collision: never serve a plan for a different IR.
@@ -78,7 +72,6 @@ PlanCache::acquire(Graph g, bool* hit)
             entry->key = key;
             entry->ir = ir;
             compileInto(*entry);
-            cMiss.add(1);
             return entry;
         }
         // The builder vanished (its insert failed); fall through and
@@ -92,7 +85,6 @@ PlanCache::acquire(Graph g, bool* hit)
     lru_.push_front(key);
     map_[key] = Slot{nullptr, lru_.begin()};
     lock.unlock();
-    cMiss.add(1);
 
     // The plan points into the graph, so the graph must reach its
     // final address (inside the shared entry) before compilation.
@@ -117,7 +109,6 @@ PlanCache::acquire(Graph g, bool* hit)
             lru_.erase(std::next(r).base());
             map_.erase(v);
             ++evictions_;
-            cEvict.add(1);
             evicted = true;
             break;
         }

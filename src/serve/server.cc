@@ -324,9 +324,6 @@ Server::findJob(const Json& req, Json* err)
 Json
 Server::handleSubmit(int fd, const Json& req)
 {
-    static const obs::Counter cAdmit("serve.jobs.admitted");
-    static const obs::Counter cReject("serve.jobs.rejected");
-
     std::string tenant = "anonymous";
     if (const Json* t = req.find("tenant");
         t && t->isString() && !t->asString().empty())
@@ -359,7 +356,6 @@ Server::handleSubmit(int fd, const Json& req)
         std::lock_guard<std::mutex> lk(jobsMu_);
         auto reject = [&](std::string why) {
             ++counters_.rejected;
-            cReject.add(1);
             return errorResponse(DiagCode::AdmissionRejected,
                                  std::move(why), "admission");
         };
@@ -435,7 +431,6 @@ Server::handleSubmit(int fd, const Json& req)
         jobs_[job->id] = job;
         ++counters_.submitted;
     }
-    cAdmit.add(1);
     pool_->submit([this, job] { runJob(job); });
 
     Json resp = Json::object();
@@ -458,9 +453,6 @@ Server::handleSubmit(int fd, const Json& req)
 void
 Server::runJob(std::shared_ptr<Job> j)
 {
-    static const obs::Counter cDone("serve.jobs.done");
-    static const obs::Counter cFailed("serve.jobs.failed");
-    static const obs::Counter cCancelled("serve.jobs.cancelled");
     static const obs::Histogram hJobUs(
         "serve.job.us",
         {1000, 10000, 100000, 1000000, 10000000, 100000000});
@@ -534,17 +526,14 @@ Server::runJob(std::shared_ptr<Job> j)
     switch (j->state) {
     case JobState::Done:
         ++counters_.done;
-        cDone.add(1);
         ev.set("result", resultToJson(j->design->graph, j->result));
         break;
     case JobState::Cancelled:
         ++counters_.cancelled;
-        cCancelled.add(1);
         ev.set("result", resultToJson(j->design->graph, j->result));
         break;
     default:
         ++counters_.failed;
-        cFailed.add(1);
         ev.set("error", diagToJson(j->error));
         break;
     }
@@ -688,8 +677,8 @@ Server::metricsText() const
 {
     std::ostringstream os;
     obs::snapshotMetrics().renderProm(os);
-    // The server's own series render unconditionally: the scrape
-    // endpoint is useful even when obs recording is off.
+    // The server's own per-instance series: the serving job and plan
+    // cache counts live here, not in the obs registry.
     const PlanCache::Stats cs = cache_.stats();
     ServerCounters c;
     int queued = 0;

@@ -3,8 +3,8 @@
  * names every started pass), per-pass wall-clock lands in the obs
  * registry, the pipeline stops at the first failure, escaping
  * exceptions become structured Diags (run() never throws), and the
- * standard pipeline leaves its artifacts — folded constants, dead
- * nodes, stats — in the context.
+ * standard pipeline leaves its artifacts — validation errors and
+ * stats — in the context.
  */
 
 #include <gtest/gtest.h>
@@ -52,10 +52,7 @@ TEST(PassManagerTest, RunsInOrderAndRecordsObsTimings)
         order.push_back("second");
         return Status();
     });
-    const bool was = obs::enabled();
-    obs::setEnabled(true);
     ASSERT_TRUE(pm.run(d.graph(), ctx).ok());
-    obs::setEnabled(was);
     EXPECT_EQ(order, (std::vector<std::string>{"first", "second"}));
     EXPECT_EQ(pm.executed(),
               (std::vector<std::string>{"first", "second"}));
@@ -119,16 +116,12 @@ TEST(PassManagerTest, StandardPipelineLeavesArtifacts)
     DiagSink sink;
     PassContext ctx(sink);
     PassManager pm = standardPasses();
-    EXPECT_EQ(pm.size(), 4u);
     ASSERT_TRUE(pm.run(d.graph(), ctx).ok());
     EXPECT_TRUE(ctx.art.validationErrors.empty());
-    // 1.0 + 3.0 folds.
-    EXPECT_FALSE(ctx.art.foldedConstants.empty());
     EXPECT_GT(ctx.art.stats.controllers, 0);
     EXPECT_GT(ctx.art.stats.primitives, 0);
-    ASSERT_EQ(pm.executed().size(), 4u);
-    EXPECT_EQ(pm.executed()[0], "validate");
-    EXPECT_EQ(pm.executed()[3], "stats");
+    EXPECT_EQ(pm.executed(),
+              (std::vector<std::string>{"validate", "stats"}));
 }
 
 TEST(PassManagerTest, ValidateFailureCarriesFirstError)
@@ -160,8 +153,6 @@ TEST(PassManagerTest, ParsedAndBuiltGraphsProduceIdenticalArtifacts)
     PassManager pm2 = standardPasses();
     ASSERT_TRUE(pm1.run(d.graph(), c1).ok());
     ASSERT_TRUE(pm2.run(parsed, c2).ok());
-    EXPECT_EQ(c1.art.foldedConstants, c2.art.foldedConstants);
-    EXPECT_EQ(c1.art.deadNodes, c2.art.deadNodes);
     EXPECT_EQ(c1.art.stats.controllers, c2.art.stats.controllers);
     EXPECT_EQ(c1.art.stats.primitives, c2.art.stats.primitives);
     EXPECT_EQ(c1.art.stats.maxDepth, c2.art.stats.maxDepth);

@@ -1,174 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <optional>
-
 #include "core/builder.hh"
 #include "core/transform.hh"
 
 namespace dhdl {
 namespace {
-
-/** Lookup in the sorted (id, value) list foldConstants returns. */
-std::optional<double>
-foldedValue(const std::vector<std::pair<NodeId, double>>& folded,
-            NodeId id)
-{
-    for (const auto& [nid, v] : folded) {
-        if (nid == id)
-            return v;
-    }
-    return std::nullopt;
-}
-
-bool
-containsId(const std::vector<NodeId>& ids, NodeId id)
-{
-    return std::find(ids.begin(), ids.end(), id) != ids.end();
-}
-
-TEST(EvalConstOpTest, Arithmetic)
-{
-    EXPECT_DOUBLE_EQ(*evalConstOp(Op::Add, {2, 3}), 5);
-    EXPECT_DOUBLE_EQ(*evalConstOp(Op::Sub, {2, 3}), -1);
-    EXPECT_DOUBLE_EQ(*evalConstOp(Op::Mul, {2, 3}), 6);
-    EXPECT_DOUBLE_EQ(*evalConstOp(Op::Div, {6, 3}), 2);
-    EXPECT_DOUBLE_EQ(*evalConstOp(Op::Mux, {1, 7, 9}), 7);
-    EXPECT_DOUBLE_EQ(*evalConstOp(Op::Mux, {0, 7, 9}), 9);
-    EXPECT_DOUBLE_EQ(*evalConstOp(Op::Neg, {4}), -4);
-}
-
-TEST(EvalConstOpTest, GuardsAgainstUndefined)
-{
-    EXPECT_FALSE(evalConstOp(Op::Div, {1, 0}).has_value());
-    EXPECT_FALSE(evalConstOp(Op::Sqrt, {-1}).has_value());
-    EXPECT_FALSE(evalConstOp(Op::Log, {0}).has_value());
-    EXPECT_FALSE(evalConstOp(Op::Iter, {}).has_value());
-    EXPECT_FALSE(evalConstOp(Op::Add, {1}).has_value()); // arity
-}
-
-TEST(FoldConstantsTest, FoldsConstantSubgraphs)
-{
-    Design d("fold");
-    NodeId folded_id = kNoNode;
-    d.accel([&](Scope& s) {
-        Mem m = s.bram("m", DType::f32(), {Sym::c(4)});
-        s.pipe("P", {ctr(4)}, Sym::c(1),
-               [&](Scope& p, std::vector<Val> ii) {
-                   Val two = p.constant(2.0);
-                   Val three = p.constant(3.0);
-                   Val six = two * three; // constant subgraph
-                   folded_id = six.id;
-                   Val v = p.load(m, {ii[0]});
-                   p.store(m, {ii[0]}, v * six);
-               });
-    });
-    auto folded = foldConstants(d.graph());
-    auto v = foldedValue(folded, folded_id);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_DOUBLE_EQ(*v, 6.0);
-    // Deterministic output: ascending node ids.
-    EXPECT_TRUE(std::is_sorted(folded.begin(), folded.end(),
-                               [](const auto& a, const auto& b) {
-                                   return a.first < b.first;
-                               }));
-}
-
-TEST(FoldConstantsTest, DataDependentNotFolded)
-{
-    Design d("nofold");
-    NodeId sum_id = kNoNode;
-    d.accel([&](Scope& s) {
-        Mem m = s.bram("m", DType::f32(), {Sym::c(4)});
-        s.pipe("P", {ctr(4)}, Sym::c(1),
-               [&](Scope& p, std::vector<Val> ii) {
-                   Val v = p.load(m, {ii[0]});
-                   Val sum = v + 1.0;
-                   sum_id = sum.id;
-                   p.store(m, {ii[0]}, sum);
-               });
-    });
-    auto folded = foldConstants(d.graph());
-    EXPECT_FALSE(foldedValue(folded, sum_id).has_value());
-}
-
-TEST(FoldConstantsTest, FoldsThroughChains)
-{
-    Design d("chain");
-    NodeId last = kNoNode;
-    d.accel([&](Scope& s) {
-        Mem m = s.bram("m", DType::f32(), {Sym::c(4)});
-        s.pipe("P", {ctr(4)}, Sym::c(1),
-               [&](Scope& p, std::vector<Val> ii) {
-                   Val e = ((p.constant(1.0) + 2.0) * 4.0) - 2.0;
-                   last = e.id;
-                   p.store(m, {ii[0]}, e);
-               });
-    });
-    auto folded = foldConstants(d.graph());
-    auto v = foldedValue(folded, last);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_DOUBLE_EQ(*v, 10.0);
-}
-
-TEST(DeadNodeTest, UnusedValueIsDead)
-{
-    Design d("dead");
-    NodeId dead_id = kNoNode, live_id = kNoNode;
-    d.accel([&](Scope& s) {
-        Mem m = s.bram("m", DType::f32(), {Sym::c(4)});
-        s.pipe("P", {ctr(4)}, Sym::c(1),
-               [&](Scope& p, std::vector<Val> ii) {
-                   Val v = p.load(m, {ii[0]});
-                   Val unused = v * v; // never stored
-                   dead_id = unused.id;
-                   Val used = v + 1.0;
-                   live_id = used.id;
-                   p.store(m, {ii[0]}, used);
-               });
-    });
-    auto dead = findDeadNodes(d.graph());
-    EXPECT_TRUE(containsId(dead, dead_id));
-    EXPECT_FALSE(containsId(dead, live_id));
-    EXPECT_TRUE(std::is_sorted(dead.begin(), dead.end()));
-}
-
-TEST(DeadNodeTest, ReduceBodyResultIsLive)
-{
-    Design d("red");
-    Mem out = d.reg("out", DType::f32());
-    NodeId body = kNoNode;
-    d.accel([&](Scope& s) {
-        Mem m = s.bram("m", DType::f32(), {Sym::c(8)});
-        s.pipeReduce("P", {ctr(8)}, Sym::c(1), out, Op::Add,
-                     [&](Scope& p, std::vector<Val> ii) {
-                         Val v = p.load(m, {ii[0]});
-                         Val sq = v * v;
-                         body = sq.id;
-                         return sq;
-                     });
-    });
-    auto dead = findDeadNodes(d.graph());
-    EXPECT_FALSE(containsId(dead, body));
-}
-
-TEST(DeadNodeTest, TransferBaseIsLive)
-{
-    Design d("tb");
-    Mem a = d.offchip("a", DType::f32(), {Sym::c(64)});
-    d.accel([&](Scope& s) {
-        s.sequential("L", {ctr(64, Sym::c(8))},
-                     [&](Scope& l, std::vector<Val> rv) {
-                         Mem t = l.bram("t", DType::f32(), {Sym::c(8)});
-                         l.tileLoad(a, t, {rv[0]}, {Sym::c(8)});
-                     });
-    });
-    auto dead = findDeadNodes(d.graph());
-    // Iterators feeding transfer bases must not be dead (they are not
-    // value nodes in the first place, but nothing else may be dead
-    // here either).
-    EXPECT_TRUE(dead.empty());
-}
 
 TEST(GraphStatsTest, CountsMatchDesign)
 {

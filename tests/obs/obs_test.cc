@@ -5,9 +5,11 @@
  * buffers wrap by dropping oldest events (and say so), and long span
  * names truncate cleanly. Everything is read straight from
  * snapshotMetrics() and snapshotTrace(); the JSON renderings of those
- * snapshots are tested in tests/serve/export_test.cc. The checkpoint
- * layer's counters and spans are asserted on a real checkpointed
- * explore and resume.
+ * snapshots are tested in tests/serve/export_test.cc. Thread states
+ * are reused after their threads exit, so a process that builds
+ * thread pools over and over holds no more states than threads alive
+ * at once. The checkpoint layer's counters and spans are asserted on
+ * a real checkpointed explore and resume.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <set>
 #include <string>
@@ -22,26 +25,13 @@
 #include <vector>
 
 #include "apps/apps.hh"
+#include "cpu/thread_pool.hh"
 #include "dse/explorer.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace dhdl::obs {
 namespace {
-
-/** RAII: force recording on (or off) for one test, then restore. */
-class ScopedEnable
-{
-  public:
-    explicit ScopedEnable(bool on) : prev_(enabled())
-    {
-        setEnabled(on);
-    }
-    ~ScopedEnable() { setEnabled(prev_); }
-
-  private:
-    bool prev_;
-};
 
 /** Every retained span of the snapshot, across threads. */
 std::vector<TraceEvent>
@@ -55,19 +45,8 @@ allEvents(const TraceSnapshot& snap)
 
 // ------------------------------------------------------------- metrics
 
-TEST(ObsMetricsTest, DisabledRecordingIsInvisible)
-{
-    ScopedEnable off(false);
-    resetMetrics();
-    Counter c("test.invisible");
-    c.add(42);
-    addCounter("test.invisible", 8);
-    EXPECT_EQ(snapshotMetrics().counter("test.invisible"), 0u);
-}
-
 TEST(ObsMetricsTest, CounterHandlesWithSameNameShareTheMetric)
 {
-    ScopedEnable on(true);
     resetMetrics();
     Counter a("test.shared");
     Counter b("test.shared");
@@ -78,7 +57,6 @@ TEST(ObsMetricsTest, CounterHandlesWithSameNameShareTheMetric)
 
 TEST(ObsMetricsTest, ShardsMergeExactlyUnderEightThreads)
 {
-    ScopedEnable on(true);
     resetMetrics();
     constexpr int kThreads = 8;
     constexpr int kAdds = 10000;
@@ -99,7 +77,6 @@ TEST(ObsMetricsTest, ShardsMergeExactlyUnderEightThreads)
 
 TEST(ObsMetricsTest, HistogramBucketEdges)
 {
-    ScopedEnable on(true);
     resetMetrics();
     Histogram h("test.hist.edges", {10, 20});
     // Bucket b counts v <= bounds[b]; the last bucket is overflow.
@@ -129,7 +106,6 @@ TEST(ObsMetricsTest, HistogramBucketEdges)
 
 TEST(ObsMetricsTest, GaugeSetWinsOverAdd)
 {
-    ScopedEnable on(true);
     resetMetrics();
     Gauge g("test.gauge");
     g.set(10);
@@ -149,39 +125,63 @@ TEST(ObsMetricsTest, GaugeSetWinsOverAdd)
 
 TEST(ObsTraceTest, RingBufferWrapsByDroppingOldest)
 {
-    ScopedEnable on(true);
     resetTrace();
-    setRingCapacity(64); // clamps at the documented minimum
+    constexpr int kEvents = int(kTraceRingCapacity) + 36;
 
-    // A fresh thread gets a fresh (lazily sized) ring, so this test
-    // controls its capacity regardless of what earlier tests did on
-    // the main thread.
+    // A thread of its own: no other span of this test lands in its
+    // ring, whichever state (fresh or reused) it gets.
     std::thread t([] {
-        for (int i = 0; i < 100; ++i)
+        for (int i = 0; i < kEvents; ++i)
             recordSpan("test", "wrap", uint64_t(i), 1, i);
     });
     t.join();
 
     TraceStats s = traceStats();
-    EXPECT_EQ(s.recorded, 100u);
-    EXPECT_EQ(s.retained, 64u);
+    EXPECT_EQ(s.recorded, uint64_t(kEvents));
+    EXPECT_EQ(s.retained, kTraceRingCapacity);
     EXPECT_EQ(s.dropped, 36u);
 
     // The snapshot keeps the newest events and reports the loss.
     TraceSnapshot snap = snapshotTrace();
     EXPECT_EQ(snap.dropped, 36u);
     std::vector<TraceEvent> events = allEvents(snap);
-    ASSERT_EQ(events.size(), 64u);
-    int64_t minArg = 1000;
+    ASSERT_EQ(events.size(), kTraceRingCapacity);
+    int64_t minArg = kEvents;
     for (const TraceEvent& e : events)
         minArg = std::min(minArg, e.arg);
     EXPECT_EQ(minArg, 36); // oldest 36 were overwritten
-    setRingCapacity(16384); // restore default for later tests
+}
+
+TEST(ObsTraceTest, ExitedThreadsHandTheirStateToNewThreads)
+{
+    resetTrace();
+    constexpr int kWorkers = 4;
+    for (int pool = 0; pool < 50; ++pool) {
+        cpu::ThreadPool workers(kWorkers);
+        // Each worker holds at the latch until all four have a task,
+        // so every worker records one span.
+        std::latch started(kWorkers);
+        for (int w = 0; w < kWorkers; ++w) {
+            workers.submit([&started] {
+                started.arrive_and_wait();
+                TraceSpan span("test", "pool-task");
+            });
+        }
+        workers.barrier();
+    }
+    // Live at once: this thread and one pool's workers. Each pool's
+    // workers take over the states of the pool before, so 200 worker
+    // threads leave at most 4 states with events behind.
+    TraceSnapshot snap = snapshotTrace();
+    EXPECT_LE(snap.threads.size(), size_t(1 + kWorkers));
+    size_t spans = 0;
+    for (const TraceEvent& e : allEvents(snap))
+        spans += std::string(e.name) == "pool-task";
+    EXPECT_EQ(spans, 50u * kWorkers); // reuse keeps every event
 }
 
 TEST(ObsTraceTest, SnapshotGroupsEventsByNamedThread)
 {
-    ScopedEnable on(true);
     resetTrace();
 
     {
@@ -216,21 +216,8 @@ TEST(ObsTraceTest, SnapshotGroupsEventsByNamedThread)
     }
 }
 
-TEST(ObsTraceTest, DisabledSpansRecordNothing)
-{
-    ScopedEnable off(false);
-    resetTrace();
-    {
-        TraceSpan span("test", "ghost");
-        DHDL_OBS_SPAN("test", "ghost-macro");
-    }
-    recordSpan("test", "ghost-manual", 0, 1, -1);
-    EXPECT_EQ(traceStats().recorded, 0u);
-}
-
 TEST(ObsTraceTest, LongNamesAreTruncatedNotCorrupted)
 {
-    ScopedEnable on(true);
     resetTrace();
     std::string longName(200, 'n');
     recordSpan("test", longName.c_str(), 0, 1, -1);
@@ -279,7 +266,6 @@ TEST(ObsCheckpointTest, WritesAndLoadsAreCountedAndTraced)
     };
     explorer(); // calibrate outside the recorded window
 
-    ScopedEnable on(true);
     resetMetrics();
     resetTrace();
     auto res = explorer().explore(d.graph(), cfg);
@@ -302,18 +288,6 @@ TEST(ObsCheckpointTest, WritesAndLoadsAreCountedAndTraced)
     EXPECT_EQ(m.counter("dse.checkpoint.restored"), 60u);
     EXPECT_EQ(spanNames().count("dse/checkpoint-load"), 1u);
 
-    // Recording off: the same run leaves every counter at zero.
-    {
-        ScopedEnable off(false);
-        resetMetrics();
-        std::remove(path.c_str());
-        cfg.resume = false;
-        explorer().explore(d.graph(), cfg);
-    }
-    m = snapshotMetrics();
-    EXPECT_EQ(m.counter("dse.checkpoint.writes"), 0u);
-    EXPECT_EQ(m.counter("dse.checkpoint.bytes"), 0u);
-    EXPECT_EQ(m.counter("dse.checkpoint.rendered"), 0u);
     std::remove(path.c_str());
 }
 

@@ -22,17 +22,6 @@ using namespace dhdl::serve;
 
 namespace {
 
-/** RAII: force recording on for one test, then restore. */
-class ScopedObs
-{
-  public:
-    ScopedObs() : prev_(obs::enabled()) { obs::setEnabled(true); }
-    ~ScopedObs() { obs::setEnabled(prev_); }
-
-  private:
-    bool prev_;
-};
-
 Json
 parsed(const std::string& text)
 {
@@ -62,7 +51,6 @@ keysOf(const Json& obj)
 
 TEST(ServeExport, MetricsJsonHasTheSnapshotKeys)
 {
-    ScopedObs on;
     obs::resetMetrics();
     obs::Counter("test.json.counter").add(5);
     obs::Histogram("test.json.hist", {1, 2}).observe(2);
@@ -97,7 +85,6 @@ TEST(ServeExport, TraceEventFormatIsPinned)
 
 TEST(ServeExport, ChromeTraceRoundTripsNamesExactly)
 {
-    ScopedObs on;
     obs::resetTrace();
     const std::string tricky = "q\"b\\s\nend";
     obs::recordSpan("test", tricky.c_str(), 10, 5, 3);
@@ -137,15 +124,13 @@ TEST(ServeExport, ChromeTraceRoundTripsNamesExactly)
 
 TEST(ServeExport, ChromeTraceReportsDroppedEvents)
 {
-    ScopedObs on;
     obs::resetTrace();
-    obs::setRingCapacity(64); // a fresh thread gets a 64-event ring
+    // A thread of its own, so its ring holds only these events.
     std::thread t([] {
-        for (int i = 0; i < 100; ++i)
-            obs::recordSpan("test", "wrap", uint64_t(i), 1, i);
+        for (size_t i = 0; i < obs::kTraceRingCapacity + 36; ++i)
+            obs::recordSpan("test", "wrap", uint64_t(i), 1, int64_t(i));
     });
     t.join();
-    obs::setRingCapacity(16384); // restore the default
 
     Json root = processTrace();
     EXPECT_EQ(root.find("otherData")->find("droppedEvents")->asInt(),
@@ -153,7 +138,7 @@ TEST(ServeExport, ChromeTraceReportsDroppedEvents)
     size_t spans = 0;
     for (const Json& e : root.find("traceEvents")->items())
         spans += e.find("ph")->asString() == "X";
-    EXPECT_EQ(spans, 64u);
+    EXPECT_EQ(spans, obs::kTraceRingCapacity);
 }
 
 TEST(ServeExport, JobAndProcessTracesShareTheEventKeys)
@@ -167,7 +152,6 @@ TEST(ServeExport, JobAndProcessTracesShareTheEventKeys)
     res.stats.rounds.push_back(rs);
     Json job = parsed(jobTraceToJson(res).render());
 
-    ScopedObs on;
     obs::resetTrace();
     obs::recordSpan("test", "plain", 0, 1);
     Json process = processTrace();

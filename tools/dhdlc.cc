@@ -34,9 +34,8 @@
  *
  * Every load goes through apps::loadDesign(), the loader dhdld uses
  * too: built or parsed, the design runs the standard analysis pass
- * pipeline (validate, fold-constants, dead-nodes, stats); pass
- * failures are reported as structured diagnostics and abort the
- * command.
+ * pipeline (validate, stats); pass failures are reported as
+ * structured diagnostics and abort the command.
  *
  * Observability (src/obs) flags, accepted by every command:
  *   --trace FILE    write a Chrome-trace / Perfetto JSON timeline
@@ -44,9 +43,9 @@
  *                   plan compile, sim, codegen)
  *   --metrics FILE  write the metrics registry snapshot as JSON
  *   --profile       print the same snapshot as text to stderr
- * Any of the three enables recording; so does DHDL_OBS=ON in the
- * environment. All three render one registry snapshot — there is no
- * separate timing plumbing.
+ * Recording is always on; the three only choose what gets written.
+ * All three render one registry snapshot — there is no separate
+ * timing plumbing.
  *
  * Fault injection (chaos testing): DHDL_FAULT=point=value[,...] in
  * the environment arms crash/hang/torn-write/corrupt-record seams
@@ -593,8 +592,6 @@ main(int argc, char** argv)
                   << ")\n";
         return 0;
     }
-    if (args.profile || !args.trace.empty() || !args.metrics.empty())
-        obs::setEnabled(true);
     // Chaos seams (DHDL_FAULT=...) are armed only here, at process
     // scope — library consumers and unit tests stay deterministic
     // unless they call fault::configure() themselves.

@@ -11,8 +11,8 @@
  * running jobs finish, streaming clients receive their final events,
  * new submissions are rejected with a structured admission
  * diagnostic. `GET /metrics` on the same port returns the metrics
- * registry in Prometheus exposition format. DHDL_OBS=ON additionally
- * enables span/metric recording inside jobs.
+ * registry in Prometheus exposition format, including the counters
+ * and histograms that jobs record (`dhdl_dse_points_evaluated`, ...).
  */
 
 #include <csignal>
