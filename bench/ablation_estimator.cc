@@ -41,7 +41,7 @@ main(int argc, char** argv)
 {
     const auto& est = est::calibratedEstimator();
     const auto& tc = est::defaultToolchain();
-    int n = int(bench::envInt("DHDL_ABL_DESIGNS", 80));
+    const int n = 80; // random template lists compared
 
     double hyb_alm = 0, ana_alm = 0, hyb_bram = 0, ana_bram = 0;
     int used = 0;

@@ -64,8 +64,8 @@ snap(const std::vector<int64_t>& legal, int64_t v)
 int
 main()
 {
-    int budget = int(bench::envInt("DHDL_ABL_BUDGET", 400));
-    double scale = bench::benchScale();
+    const int budget = 400; // sample draws per strategy
+    const double scale = bench::kBenchScale;
 
     std::cout << "Ablation: divisor pruning of the design space "
                  "(sample budget "
@@ -103,7 +103,7 @@ main()
             ParamBinding b;
             for (size_t pi = 0; pi < d.params().size(); ++pi) {
                 const auto& def = d.params()[ParamId(pi)];
-                auto legal = d.params().legalValues(ParamId(pi));
+                const auto& legal = d.params().legalValues(ParamId(pi));
                 int64_t hi = std::min(
                     def.maxValue,
                     def.divisorOf > 0 ? def.divisorOf : def.maxValue);

@@ -20,12 +20,6 @@ envInt(const char* name, int64_t def)
     return v ? std::atoll(v) : def;
 }
 
-double
-benchScale()
-{
-    return envDouble("DHDL_BENCH_SCALE", 1.0);
-}
-
 const est::RuntimeEstimator&
 runtimeEstimator()
 {

@@ -1,11 +1,8 @@
 /**
  * @file
  * Shared helpers for the experiment benches: environment-variable
- * knobs, the paper's DSE sample count, Pareto-point selection, and
- * table formatting.
- *
- * Knobs:
- *   DHDL_BENCH_SCALE   dataset scale factor (default 1.0 = Table II)
+ * readers, the paper's dataset scale and DSE sample count,
+ * Pareto-point selection, and table formatting.
  */
 
 #ifndef DHDL_BENCH_BENCH_COMMON_HH
@@ -25,8 +22,8 @@ double envDouble(const char* name, double def);
 /** Read an integer knob from the environment. */
 int64_t envInt(const char* name, int64_t def);
 
-/** Dataset scale for this bench run. */
-double benchScale();
+/** Dataset scale of every bench: Table II sizes. */
+inline constexpr double kBenchScale = 1.0;
 
 /** DSE samples per benchmark: the paper's setting (Section IV-C). */
 inline constexpr int kPaperPoints = 75000;

@@ -24,8 +24,7 @@
  * achieved point, averaged — 0 when the achieved front covers the
  * reference everywhere within rounding.
  *
- * Knobs:
- *   DHDL_BENCH_SCALE    dataset scale factor (default 1.0)
+ * Knobs (the dataset scale is bench::kBenchScale):
  *   DHDL_QUALITY_POINTS points sampled per app (default 2000)
  *   DHDL_QUALITY_TOL    ADRS tolerance (default 0.02)
  *   DHDL_QUALITY_APPS   comma list to restrict apps (default: all 8)
@@ -270,7 +269,7 @@ appNames()
 int
 main()
 {
-    const double scale = bench::benchScale();
+    const double scale = bench::kBenchScale;
     const int points = qualityPoints();
     const double tol = qualityTol();
 

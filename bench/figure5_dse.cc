@@ -28,7 +28,7 @@ using namespace dhdl;
 int
 main()
 {
-    double scale = bench::benchScale();
+    const double scale = bench::kBenchScale;
     const int points = bench::kPaperPoints;
     const auto& dev = est::calibratedEstimator().device();
 

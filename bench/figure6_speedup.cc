@@ -121,7 +121,7 @@ workloads(double s)
 int
 main()
 {
-    double scale = bench::benchScale();
+    const double scale = bench::kBenchScale;
     const int points = bench::kPaperPoints;
     cpu::CpuPlatform xeon; // the paper's E5-2630
 

@@ -40,7 +40,7 @@ relErr(double est, double truth)
 int
 main()
 {
-    double scale = bench::benchScale();
+    const double scale = bench::kBenchScale;
     const int points = bench::kPaperPoints;
     const auto& tc = est::defaultToolchain();
 

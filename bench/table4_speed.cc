@@ -23,6 +23,9 @@ using namespace dhdl;
 
 namespace {
 
+/** GDA design points compared, as in the paper. */
+constexpr int kDesigns = 250;
+
 /** The GDA design points used for the comparison. */
 struct Table4Setup {
     Design design;
@@ -31,8 +34,7 @@ struct Table4Setup {
     Table4Setup() : design(apps::buildGda(gdaConfig()))
     {
         dse::ParamSpace space(design.graph());
-        int n = int(bench::envInt("DHDL_T4_DESIGNS", 250));
-        points = space.sample(n, 0x7AB1E4);
+        points = space.sample(kDesigns, 0x7AB1E4);
         if (points.empty())
             points.push_back(design.params().defaults());
     }
@@ -44,7 +46,7 @@ struct Table4Setup {
         // dataset but per-design analysis cost is size-insensitive
         // for DHDL and tile-size-sensitive for HLS.
         apps::GdaConfig c;
-        c.rows = apps::scaledSize(c.rows, bench::benchScale(), 960);
+        c.rows = apps::scaledSize(c.rows, bench::kBenchScale, 960);
         return c;
     }
 };

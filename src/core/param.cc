@@ -1,8 +1,6 @@
 #include "core/param.hh"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
 
 namespace dhdl {
 
@@ -57,6 +55,12 @@ ParamTable::add(ParamDef def)
     require(!def.name.empty(), "parameter must be named");
     require(def.minValue <= def.maxValue,
             "parameter '" + def.name + "' has empty range");
+    ValueList& list = byDef_[DefKey{def.kind, def.divisorOf,
+                                    def.minValue, def.maxValue,
+                                    def.defaultValue}];
+    if (!list)
+        list = listLegal(def);
+    legal_.push_back(list);
     defs_.push_back(std::move(def));
     return ParamId(defs_.size() - 1);
 }
@@ -69,6 +73,14 @@ ParamTable::operator[](ParamId p) const
     return defs_[size_t(p)];
 }
 
+const ParamTable::ValueList&
+ParamTable::legalList(ParamId p) const
+{
+    invariant(p >= 0 && size_t(p) < legal_.size(),
+              "parameter id out of range");
+    return legal_[size_t(p)];
+}
+
 ParamBinding
 ParamTable::defaults() const
 {
@@ -79,25 +91,29 @@ ParamTable::defaults() const
     return b;
 }
 
-std::vector<int64_t>
-ParamTable::legalValues(ParamId p) const
+ParamTable::ValueList
+ParamTable::listLegal(const ParamDef& d)
 {
-    const ParamDef& d = (*this)[p];
-    std::vector<int64_t> vals;
+    using Values = std::vector<int64_t>;
     switch (d.kind) {
       case ParamKind::Toggle:
-        vals = {0, 1};
-        break;
+        return std::make_shared<const Values>(Values{0, 1});
       case ParamKind::Fixed:
-        vals = {d.defaultValue};
         break;
       case ParamKind::TileSize:
       case ParamKind::ParFactor:
         if (d.divisorOf > 0) {
-            for (int64_t v : divisorsOf(d.divisorOf)) {
-                if (v >= d.minValue && v <= d.maxValue)
-                    vals.push_back(v);
-            }
+            ValueList& all = divisors_[d.divisorOf];
+            if (!all)
+                all = std::make_shared<const Values>(
+                    divisorsOf(d.divisorOf));
+            const auto lo =
+                std::lower_bound(all->begin(), all->end(), d.minValue);
+            const auto hi = std::upper_bound(lo, all->end(), d.maxValue);
+            if (lo == all->begin() && hi == all->end())
+                return all;
+            if (lo != hi)
+                return std::make_shared<const Values>(lo, hi);
         } else {
             // At most 4097 values from minValue, never past maxValue
             // and never past INT64_MAX.
@@ -105,35 +121,17 @@ ParamTable::legalValues(ParamId p) const
                 uint64_t(d.maxValue) - uint64_t(d.minValue) > 4096
                     ? d.minValue + 4096
                     : d.maxValue;
+            Values vals;
             for (int64_t v = d.minValue;; ++v) {
                 vals.push_back(v);
                 if (v == hi)
                     break;
             }
+            return std::make_shared<const Values>(std::move(vals));
         }
         break;
     }
-    if (vals.empty())
-        vals.push_back(d.defaultValue);
-    return vals;
-}
-
-std::vector<std::vector<int64_t>>
-ParamTable::allLegalValues() const
-{
-    using Key = std::tuple<ParamKind, int64_t, int64_t, int64_t, int64_t>;
-    std::map<Key, size_t> first;
-    std::vector<std::vector<int64_t>> out;
-    out.reserve(defs_.size());
-    for (size_t i = 0; i < defs_.size(); ++i) {
-        const ParamDef& d = defs_[i];
-        const auto [at, fresh] = first.try_emplace(
-            Key{d.kind, d.divisorOf, d.minValue, d.maxValue,
-                d.defaultValue},
-            i);
-        out.push_back(fresh ? legalValues(ParamId(i)) : out[at->second]);
-    }
-    return out;
+    return std::make_shared<const Values>(Values{d.defaultValue});
 }
 
 bool
@@ -141,9 +139,8 @@ ParamTable::isLegal(const ParamBinding& b) const
 {
     if (b.values.size() != defs_.size())
         return false;
-    const auto legal = allLegalValues();
     for (size_t i = 0; i < defs_.size(); ++i) {
-        if (!std::binary_search(legal[i].begin(), legal[i].end(),
+        if (!std::binary_search(legal_[i]->begin(), legal_[i]->end(),
                                 b.values[i]))
             return false;
     }

@@ -12,7 +12,10 @@
 #define DHDL_CORE_PARAM_HH
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/error.hh"
@@ -67,10 +70,19 @@ struct ParamBinding {
     }
 };
 
-/** The table of all parameters declared by a design. */
+/**
+ * The table of all parameters declared by a design. It is the one
+ * owner of every parameter's legal values: add() lists them once,
+ * and parameters whose definitions match — same kind, divisor_of,
+ * bounds and default — share one immutable list, so a design that
+ * repeats a costly divisor_of factors it once and stores it once.
+ */
 class ParamTable
 {
   public:
+    /** A shared, immutable legal-value list. */
+    using ValueList = std::shared_ptr<const std::vector<int64_t>>;
+
     ParamId add(ParamDef def);
 
     const ParamDef& operator[](ParamId p) const;
@@ -80,24 +92,34 @@ class ParamTable
     ParamBinding defaults() const;
 
     /**
-     * Enumerate the legal values of a parameter under the divisor
-     * pruning heuristics. Values are sorted ascending.
+     * The legal values of a parameter under the divisor pruning
+     * heuristics, sorted ascending and never empty.
      */
-    std::vector<int64_t> legalValues(ParamId p) const;
+    const std::vector<int64_t>&
+    legalValues(ParamId p) const
+    {
+        return *legalList(p);
+    }
 
-    /**
-     * legalValues() of every parameter, in id order. Parameters whose
-     * legal sets are defined alike (kind, divisor_of, bounds, default)
-     * share one listing, so a design that repeats a costly divisor_of
-     * factors it once.
-     */
-    std::vector<std::vector<int64_t>> allLegalValues() const;
+    /** The shared list behind legalValues(p), for holders that may
+     *  outlive the table (dse::ParamSpace). */
+    const ValueList& legalList(ParamId p) const;
 
     /** True when the binding assigns a legal value to every param. */
     bool isLegal(const ParamBinding& b) const;
 
   private:
+    using DefKey = std::tuple<ParamKind, int64_t, int64_t, int64_t,
+                              int64_t>;
+
+    ValueList listLegal(const ParamDef& d);
+
     std::vector<ParamDef> defs_;
+    std::vector<ValueList> legal_;      //!< By parameter id.
+    std::map<DefKey, ValueList> byDef_; //!< One list per definition.
+    /** divisorsOf(n) once per distinct divisor_of n; definitions that
+     *  keep every divisor share it. */
+    std::map<int64_t, ValueList> divisors_;
 };
 
 /**

@@ -1,9 +1,11 @@
 #include "core/parser.hh"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 #include "core/irschema.hh"
@@ -33,15 +35,33 @@ constexpr int kMaxCExprDepth = 64;
 constexpr int64_t kMaxTrialDivisor = int64_t(1) << 20;
 constexpr int64_t kMaxCofactor = int64_t(1) << 40;
 
-bool
-factorsCheaply(int64_t n)
+/**
+ * What listing the divisors of all of a file's distinct `divisor_of`
+ * values may cost, in trial divisions (divisorListingCost() summed).
+ * ParamTable lists each distinct value once, so this bounds the time
+ * any one file can spend there: 2^24 divisions take tens of ms, while
+ * 64 distinct primes just below 2^40 would take 2^25.
+ */
+constexpr int64_t kMaxDivisorWork = int64_t(1) << 24;
+
+/**
+ * An upper bound on the trial divisions divisorsOf(n) takes, or -1
+ * when n does not factor cheaply. divisorsOf() tries the same p as
+ * the loop here, then goes on at most to the square root of the
+ * cofactor this loop leaves.
+ */
+int64_t
+divisorListingCost(int64_t n)
 {
     // Dividing out more factors only shrinks n, so stop at the cap.
+    int64_t steps = 0;
     for (int64_t p = 2; n > kMaxCofactor && p <= kMaxTrialDivisor;
-         p += p == 2 ? 1 : 2)
+         p += p == 2 ? 1 : 2, ++steps)
         while (n % p == 0)
             n /= p;
-    return n <= kMaxCofactor;
+    if (n > kMaxCofactor)
+        return -1;
+    return steps + int64_t(std::sqrt(double(n))) / 2 + 2;
 }
 
 /**
@@ -420,6 +440,13 @@ class Parser
     {
         if (s < section_)
             c.fail("section out of order");
+        if (section_ == Section::Param && s != Section::Param) {
+            // The whole param section passed its checks: only now do
+            // the parameters list their legal values.
+            for (ParamDef& d : params_)
+                g().params().add(std::move(d));
+            params_.clear();
+        }
         section_ = s;
     }
 
@@ -515,7 +542,8 @@ class Parser
     void
     parseParam(Cursor& c)
     {
-        if (int64_t(g().params().size()) >= kMaxParams)
+        g(); // a param before the 'design' header fails here
+        if (int64_t(params_.size()) >= kMaxParams)
             c.fail("too many parameters");
         ParamDef d;
         d.name = c.parseQuoted();
@@ -532,13 +560,24 @@ class Parser
         }
         if (d.minValue > d.maxValue)
             c.fail("parameter '" + d.name + "' has empty range");
-        if (d.divisorOf > 0 && !factorsCheaply(d.divisorOf))
-            c.fail("parameter '" + d.name + "' has divisor_of=" +
-                   std::to_string(d.divisorOf) +
-                   ", which leaves a factor above 2^40 after trial "
-                   "division up to 2^20");
+        if (d.divisorOf > 0 && divisorOfs_.insert(d.divisorOf).second) {
+            const int64_t cost = divisorListingCost(d.divisorOf);
+            if (cost < 0)
+                c.fail("parameter '" + d.name + "' has divisor_of=" +
+                       std::to_string(d.divisorOf) +
+                       ", which leaves a factor above 2^40 after trial "
+                       "division up to 2^20");
+            divisorWork_ += cost;
+            if (divisorWork_ > kMaxDivisorWork)
+                c.fail("parameter '" + d.name + "' has divisor_of=" +
+                       std::to_string(d.divisorOf) +
+                       ", which brings the file's " +
+                       std::to_string(divisorOfs_.size()) +
+                       " distinct divisor_of values past 2^24 trial "
+                       "divisions to list");
+        }
         c.expectEnd();
-        g().params().add(std::move(d));
+        params_.push_back(std::move(d));
     }
 
     void
@@ -778,6 +817,10 @@ class Parser
 
     std::string_view text_;
     std::optional<Graph> graph_;
+    /** The param section, added to the graph as it ends. */
+    std::vector<ParamDef> params_;
+    std::unordered_set<int64_t> divisorOfs_; //!< Distinct divisor_of.
+    int64_t divisorWork_ = 0; //!< divisorListingCost() over them.
     Section section_ = Section::Header;
     bool seen_header_ = false;
     bool seen_root_ = false;

@@ -33,14 +33,7 @@ arity(Op op)
 class Validator
 {
   public:
-    explicit Validator(const Graph& g) : g_(g)
-    {
-        // Listed once per distinct parameter definition, not once per
-        // size that uses it: a divisor list costs O(sqrt(divisor_of))
-        // when divisor_of is a large prime.
-        for (const auto& legal : g.params().allLegalValues())
-            minLegal_.push_back(legal.front());
-    }
+    explicit Validator(const Graph& g) : g_(g) {}
 
     std::vector<std::string>
     run()
@@ -144,7 +137,7 @@ class Validator
             return;
         }
         const std::string& name = g_.params()[s.param()].name;
-        const int64_t lo = minLegal_[size_t(s.param())];
+        const int64_t lo = g_.params().legalValues(s.param()).front();
         int64_t v = 0;
         if (__builtin_add_overflow(lo, s.offset(), &v) ? s.offset() < 0
                                                        : v < 1)
@@ -267,7 +260,6 @@ class Validator
 
     const Graph& g_;
     std::vector<std::string> errors_;
-    std::vector<int64_t> minLegal_;
 };
 
 } // namespace

@@ -212,8 +212,8 @@ makeCheckpointMeta(const Graph& g, const ParamSpace& space,
     CheckpointMeta meta;
     meta.designHash = fnv1a(emitIR(g));
     std::ostringstream os;
-    for (const auto& values : space.legalValues()) {
-        for (int64_t v : values)
+    for (size_t p = 0; p < space.numParams(); ++p) {
+        for (int64_t v : space.legalValues(p))
             os << v << " ";
         os << ";";
     }

@@ -29,7 +29,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 
 #include "core/faultinject.hh"
 #include "cpu/thread_pool.hh"
@@ -50,29 +49,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** Per-round counters under a dynamic prefix (cold path: once per
- *  round, not per point). */
-void
-recordRound(const RoundStats& rs)
-{
-    auto us = [](double s) {
-        return s > 0 ? uint64_t(s * 1e6) : uint64_t(0);
-    };
-    const std::string p =
-        "dse.round." + std::to_string(rs.round) + ".";
-    obs::addCounter(p + "pool", rs.poolBefore);
-    obs::addCounter(p + "proposed", rs.proposed);
-    obs::addCounter(p + "evaluated", rs.evaluated);
-    obs::addCounter(p + "front", rs.frontSize);
-    obs::addCounter(p + "propose.us", us(rs.proposeSeconds));
-    obs::addCounter(p + "train.us", us(rs.trainSeconds));
-    obs::addCounter(p + "rank.us", us(rs.rankSeconds));
-    obs::addCounter(p + "eval.us", us(rs.evalSeconds));
-    obs::addCounter("dse.round.count", 1);
-    obs::addCounter("dse.surrogate.train.us", us(rs.trainSeconds));
-    obs::addCounter("dse.surrogate.rank.us", us(rs.rankSeconds));
-}
-
 } // namespace
 
 ExploreResult
@@ -85,7 +61,11 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     ExploreResult res;
     DiagSink sink;
 
-    auto bindings = sampleGlobal(space, cfg, &sink);
+    std::vector<ParamBinding> bindings;
+    {
+        DHDL_OBS_SPAN("dse", "sample");
+        bindings = sampleGlobal(space, cfg, &sink);
+    }
     res.points.resize(bindings.size());
     for (size_t i = 0; i < bindings.size(); ++i)
         res.points[i].binding = std::move(bindings[i]);
@@ -231,12 +211,6 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
         }
     };
 
-    std::mutex statsMu;
-    auto mergeTimes = [&](const Evaluator& ev) {
-        std::lock_guard<std::mutex> lk(statsMu);
-        res.stats.stages += ev.times();
-    };
-
     std::unique_ptr<cpu::ThreadPool> tpool;
     if (cfg.threads > 1)
         tpool = std::make_unique<cpu::ThreadPool>(cfg.threads);
@@ -278,7 +252,11 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
         const auto pT0 = Clock::now();
         strategy->propose(round, pool, size_t(remaining), front,
                           proposed, rs);
-        rs.proposeSeconds = secondsSince(pT0);
+        const auto pT1 = Clock::now();
+        rs.proposeSeconds =
+            std::chrono::duration<double>(pT1 - pT0).count();
+        obs::recordSpan("dse", "propose", obs::toMicros(pT0),
+                        obs::toMicros(pT1) - obs::toMicros(pT0), round);
         if (proposed.empty())
             break;
         rs.proposed = proposed.size();
@@ -299,7 +277,6 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
                 tpool->parallelFor(hi - lo, [&](int64_t a, int64_t b) {
                     Evaluator ev(area_, runtime_, g, plan);
                     evalRange(ev, lo + a, lo + b);
-                    mergeTimes(ev);
                 });
             } else {
                 evalRange(*serial, lo, hi);
@@ -331,15 +308,12 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
                 pool[w++] = idx;
         pool.resize(w);
 
-        recordRound(rs);
         res.stats.rounds.push_back(rs);
         if (cfg.onRound)
             cfg.onRound(res.stats.rounds.back(), front, res.points);
         if (halted())
             break;
     }
-    if (serial)
-        mergeTimes(*serial);
     strategy->finish(sink);
 
     // Aggregate stats; points skipped by a budget stay un-evaluated.
@@ -372,12 +346,11 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     sortDiags(res.diags);
     res.pareto = front.indices();
 
-    res.stats.seconds = secondsSince(t0);
-
     // Fold the run into the process-wide registry: these counters are
     // what `dhdlc --profile`, `--metrics` and the throughput bench
     // render. One source of truth with ExploreStats — same numbers,
-    // recorded once per explore() call.
+    // recorded once per explore() call. The dse.stage.*.us counters
+    // are added by the evaluators, where the stages are timed.
     static const obs::Counter cRuns("dse.explore.runs");
     static const obs::Counter cUs("dse.explore.us");
     static const obs::Counter cPlanUs("dse.plan.compile.us");
@@ -386,25 +359,17 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     static const obs::Counter cValid("dse.points.valid");
     static const obs::Counter cSkip("dse.points.skipped");
     static const obs::Counter cDiags("dse.diags");
-    static const obs::Counter cInst("dse.stage.instantiate.us");
-    static const obs::Counter cArea("dse.stage.area.us");
-    static const obs::Counter cRt("dse.stage.runtime.us");
-    static const obs::Counter cVal("dse.stage.validate.us");
     auto us = [](double s) {
         return s > 0 ? uint64_t(s * 1e6) : uint64_t(0);
     };
     cRuns.add(1);
-    cUs.add(us(res.stats.seconds));
+    cUs.add(us(secondsSince(t0)));
     cPlanUs.add(us(res.stats.planSeconds));
     cEval.add(res.stats.evaluated);
     cFail.add(res.stats.failed);
     cValid.add(res.stats.valid);
     cSkip.add(res.stats.skipped);
     cDiags.add(res.diags.size());
-    cInst.add(us(res.stats.stages.instantiate));
-    cArea.add(us(res.stats.stages.area));
-    cRt.add(us(res.stats.stages.runtime));
-    cVal.add(us(res.stats.stages.validate));
     return res;
 }
 

@@ -8,6 +8,40 @@
 
 namespace dhdl::dse {
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/**
+ * Record one pass through the four stages, timed by t[0..4]: a span
+ * per stage tagged with `arg`, and the same microseconds added to
+ * the stage's `dse.stage.<stage>.us` counter, so spans and counters
+ * read one clock. Purely additive — no effect on any point, so golden
+ * outputs do not depend on it. Returns the whole pass in µs.
+ */
+uint64_t
+recordStages(const Clock::time_point (&t)[5], int64_t arg)
+{
+    static const char* const kStage[4] = {"instantiate", "area",
+                                          "runtime", "validate"};
+    static const obs::Counter kStageUs[4] = {
+        obs::Counter("dse.stage.instantiate.us"),
+        obs::Counter("dse.stage.area.us"),
+        obs::Counter("dse.stage.runtime.us"),
+        obs::Counter("dse.stage.validate.us"),
+    };
+    uint64_t u[5];
+    for (int s = 0; s < 5; ++s)
+        u[s] = obs::toMicros(t[s]);
+    for (int s = 0; s < 4; ++s) {
+        obs::recordSpan("dse", kStage[s], u[s], u[s + 1] - u[s], arg);
+        kStageUs[s].add(u[s + 1] - u[s]);
+    }
+    return u[4] - u[0];
+}
+
+} // namespace
+
 std::string
 renderBinding(const Graph& g, const ParamBinding& b)
 {
@@ -51,18 +85,14 @@ void
 Evaluator::run(DesignPoint& p, size_t idx, const Hook* hook,
                const char*& stage)
 {
-    using Clock = std::chrono::steady_clock;
-    auto secs = [](Clock::time_point a, Clock::time_point b) {
-        return std::chrono::duration<double>(b - a).count();
-    };
-
     if (hook && *hook) {
         stage = "pre-evaluate";
         (*hook)(p.binding, idx);
     }
 
     stage = "instantiate";
-    const auto t0 = Clock::now();
+    Clock::time_point t[5];
+    t[0] = Clock::now();
     if (plan_) {
         if (inst_)
             inst_->rebind(p.binding);
@@ -76,43 +106,23 @@ Evaluator::run(DesignPoint& p, size_t idx, const Hook* hook,
     }
 
     stage = "area";
-    const auto t1 = Clock::now();
+    t[1] = Clock::now();
     p.area = area_.estimate(*inst_, ws_);
 
     stage = "runtime";
-    const auto t2 = Clock::now();
+    t[2] = Clock::now();
     p.cycles = runtime_.estimate(*inst_).cycles;
 
     stage = "validate";
-    const auto t3 = Clock::now();
+    t[3] = Clock::now();
     p.valid = p.area.fits(area_.device());
     p.evaluated = true;
-    const auto t4 = Clock::now();
+    t[4] = Clock::now();
 
-    times_.instantiate += secs(t0, t1);
-    times_.area += secs(t1, t2);
-    times_.runtime += secs(t2, t3);
-    times_.validate += secs(t3, t4);
-    times_.points += 1;
-
-    // Tracing rides the clock reads StageTimes already pays for: one
-    // complete span per stage, tagged with the point index, plus the
-    // whole-point latency histogram. Purely additive — no effect on
-    // p, so golden outputs do not depend on it.
     static const obs::Histogram pointLatency(
         "dse.eval.point.us",
         {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384});
-    const uint64_t u0 = obs::toMicros(t0);
-    const uint64_t u1 = obs::toMicros(t1);
-    const uint64_t u2 = obs::toMicros(t2);
-    const uint64_t u3 = obs::toMicros(t3);
-    const uint64_t u4 = obs::toMicros(t4);
-    const int64_t i = int64_t(idx);
-    obs::recordSpan("dse", "instantiate", u0, u1 - u0, i);
-    obs::recordSpan("dse", "area", u1, u2 - u1, i);
-    obs::recordSpan("dse", "runtime", u2, u3 - u2, i);
-    obs::recordSpan("dse", "validate", u3, u4 - u3, i);
-    pointLatency.observe(u4 - u0);
+    pointLatency.observe(recordStages(t, int64_t(idx)));
 }
 
 DesignPoint
@@ -184,15 +194,11 @@ Evaluator::evaluateBatch(std::vector<DesignPoint>& points,
         return;
     }
 
-    using Clock = std::chrono::steady_clock;
-    auto secs = [](Clock::time_point a, Clock::time_point b) {
-        return std::chrono::duration<double>(b - a).count();
-    };
-
     // Stage 1 — hook + instantiate: rebind one pool row per point.
     // Failing points are marked and excluded; survivors pack densely
     // into rows [0, live), remembering their point index.
-    const auto t0 = Clock::now();
+    Clock::time_point t[5];
+    t[0] = Clock::now();
     liveIdx_.clear();
     for (size_t k = 0; k < n; ++k) {
         const size_t idx = idxs[k];
@@ -217,7 +223,7 @@ Evaluator::evaluateBatch(std::vector<DesignPoint>& points,
     // could throw (a broken plan invariant) is re-run through the
     // scalar pipeline so each point reports it the scalar way. The
     // hook already ran, so the fallback skips it.
-    const auto t1 = Clock::now();
+    t[1] = Clock::now();
     try {
         areaOut_.resize(live);
         area_.estimateBatch(batchPlan_, pool_, live, bws_,
@@ -238,7 +244,7 @@ Evaluator::evaluateBatch(std::vector<DesignPoint>& points,
     // hierarchy, so points run one at a time inside the batch clock;
     // a throwing point fails exactly like the scalar path (keeping
     // the area estimate it already earned) and drops from validate.
-    const auto t2 = Clock::now();
+    t[2] = Clock::now();
     rowFailed_.assign(live, 0);
     for (size_t r = 0; r < live; ++r) {
         DesignPoint& p = points[liveIdx_[r]];
@@ -251,23 +257,15 @@ Evaluator::evaluateBatch(std::vector<DesignPoint>& points,
     }
 
     // Stage 4 — validate: pure comparisons across the batch.
-    const auto t3 = Clock::now();
-    uint64_t completed = 0;
+    t[3] = Clock::now();
     for (size_t r = 0; r < live; ++r) {
         if (rowFailed_[r])
             continue;
         DesignPoint& p = points[liveIdx_[r]];
         p.valid = p.area.fits(area_.device());
         p.evaluated = true;
-        ++completed;
     }
-    const auto t4 = Clock::now();
-
-    times_.instantiate += secs(t0, t1);
-    times_.area += secs(t1, t2);
-    times_.runtime += secs(t2, t3);
-    times_.validate += secs(t3, t4);
-    times_.points += completed;
+    t[4] = Clock::now();
 
     // One span per stage per batch (tagged with the batch's first
     // point) instead of per point: the trace stays readable at
@@ -275,17 +273,7 @@ Evaluator::evaluateBatch(std::vector<DesignPoint>& points,
     static const obs::Histogram batchLatency(
         "dse.eval.batch.us",
         {4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536});
-    const uint64_t u0 = obs::toMicros(t0);
-    const uint64_t u1 = obs::toMicros(t1);
-    const uint64_t u2 = obs::toMicros(t2);
-    const uint64_t u3 = obs::toMicros(t3);
-    const uint64_t u4 = obs::toMicros(t4);
-    const int64_t i = int64_t(idxs[0]);
-    obs::recordSpan("dse", "instantiate", u0, u1 - u0, i);
-    obs::recordSpan("dse", "area", u1, u2 - u1, i);
-    obs::recordSpan("dse", "runtime", u2, u3 - u2, i);
-    obs::recordSpan("dse", "validate", u3, u4 - u3, i);
-    batchLatency.observe(u4 - u0);
+    batchLatency.observe(recordStages(t, int64_t(idxs[0])));
 }
 
 } // namespace dhdl::dse

@@ -8,8 +8,9 @@
  *  - the estimator scratch workspace (template list, feature vector).
  *
  * Evaluation runs as a fixed pipeline — pre-evaluate hook →
- * instantiate → area → runtime → validate — with a wall-clock
- * counter per stage, surfaced by `dhdlc explore --profile`. The
+ * instantiate → area → runtime → validate — timed by one clock:
+ * each stage's microseconds go to its trace span and to the
+ * `dse.stage.<stage>.us` counter (`dhdlc explore --profile`). The
  * guarded entry point converts any stage exception into a structured
  * diagnostic naming the stage, exactly as the explorer's isolation
  * boundary always has.
@@ -60,32 +61,6 @@ struct DesignPoint {
 
 /** Render a binding as "name=value ..." for diagnostic context. */
 std::string renderBinding(const Graph& g, const ParamBinding& b);
-
-/** Accumulated wall-clock per evaluation stage, in seconds. */
-struct StageTimes {
-    double instantiate = 0;
-    double area = 0;
-    double runtime = 0;
-    double validate = 0;
-    uint64_t points = 0; //!< Points that completed all stages.
-
-    double
-    total() const
-    {
-        return instantiate + area + runtime + validate;
-    }
-
-    StageTimes&
-    operator+=(const StageTimes& o)
-    {
-        instantiate += o.instantiate;
-        area += o.area;
-        runtime += o.runtime;
-        validate += o.validate;
-        points += o.points;
-        return *this;
-    }
-};
 
 /**
  * Per-thread staged evaluation pipeline over one graph. Not
@@ -148,9 +123,6 @@ class Evaluator
                        const size_t* idxs, size_t n, const Hook* hook,
                        DiagSink& sink);
 
-    /** Per-stage wall-clock accumulated by this evaluator. */
-    const StageTimes& times() const { return times_; }
-
   private:
     /** The staged pipeline; throws, leaving `stage` at the culprit. */
     void run(DesignPoint& p, size_t idx, const Hook* hook,
@@ -171,7 +143,6 @@ class Evaluator
     std::shared_ptr<const DesignPlan> plan_;
     std::optional<Inst> inst_; //!< Reused across points.
     est::AreaWorkspace ws_;
-    StageTimes times_;
 
     // Batched-path state, all reused across batches.
     InstPool pool_;            //!< Rebind-reusing instance rows.

@@ -198,11 +198,8 @@ struct ExploreStats {
     bool timeBudgetHit = false;
     bool evalBudgetHit = false;
     bool cancelled = false; //!< Stopped by ExploreConfig::cancel.
-    double seconds = 0;   //!< Wall-clock of this explore() call.
     /** Wall-clock of the one-time DesignPlan compilation. */
     double planSeconds = 0;
-    /** Per-stage evaluation wall-clock, summed over all workers. */
-    StageTimes stages;
     /** One entry per search round, in order. */
     std::vector<RoundStats> rounds;
 };

@@ -9,7 +9,7 @@ namespace dhdl::dse {
 
 FeatureExtractor::FeatureExtractor(const ParamSpace& space,
                                    const DesignPlan* plan)
-    : space_(space), nparams_(space.legalValues().size())
+    : space_(space), nparams_(space.numParams())
 {
     if (!plan)
         return;

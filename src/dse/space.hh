@@ -32,10 +32,15 @@ class ParamSpace
     /** Total number of parameter combinations before legality. */
     double sizeEstimate() const;
 
-    /** Legal values of each parameter (pruned). */
-    const std::vector<std::vector<int64_t>>& legalValues() const
+    /** Number of parameters of the space. */
+    size_t numParams() const { return legal_.size(); }
+
+    /** Legal values of parameter p (pruned): the graph's
+     *  ParamTable list itself, held, not copied. */
+    const std::vector<int64_t>&
+    legalValues(size_t p) const
     {
-        return legal_;
+        return *legal_[p];
     }
 
     /**
@@ -117,7 +122,7 @@ class ParamSpace
         int64_t bits(const ParamBinding& b) const;
     };
 
-    std::vector<std::vector<int64_t>> legal_;
+    std::vector<ParamTable::ValueList> legal_; //!< By parameter id.
     //!< Size-capped local memories (Bram/Queue) in node-id order,
     //!< compiled once so isLegal() skips the full node walk.
     std::vector<MemCheck> memChecks_;

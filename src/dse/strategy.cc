@@ -471,8 +471,8 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
             break;
         const ParamBinding& fb = points_[e.index].binding;
         for (size_t pi = 0;
-             pi < space_.legalValues().size() && nbr < nNbr; ++pi) {
-            const auto& lv = space_.legalValues()[pi];
+             pi < space_.numParams() && nbr < nNbr; ++pi) {
+            const auto& lv = space_.legalValues(pi);
             const auto at = std::lower_bound(lv.begin(), lv.end(),
                                              fb.values[pi]);
             if (at == lv.end() || *at != fb.values[pi])

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ml/serialize.hh"
+#include "obs/trace.hh"
 
 namespace dhdl::est {
 
@@ -536,7 +537,12 @@ defaultToolchain()
 const AreaEstimator&
 calibratedEstimator()
 {
-    static AreaEstimator est(defaultToolchain());
+    // The one-time calibration is the first thing most runs do; its
+    // span makes that gap visible at the start of a trace.
+    static const AreaEstimator est = [] {
+        DHDL_OBS_SPAN("estimate", "calibrate");
+        return AreaEstimator(defaultToolchain());
+    }();
     return est;
 }
 

@@ -16,9 +16,10 @@
  * steady state, so recording stays O(copy one small struct).
  *
  * Instrument with the DHDL_OBS_SPAN macro, or call recordSpan()
- * directly when the timestamps already exist — the evaluator reuses
- * the clock reads it takes for StageTimes, so tracing adds no extra
- * clock calls on the hot path.
+ * directly when the timestamps already exist — the evaluator's stage
+ * spans and its `dse.stage.<stage>.us` counters read the same five
+ * clock reads per pass, so tracing adds no extra clock calls on the
+ * hot path.
  */
 
 #ifndef DHDL_OBS_TRACE_HH

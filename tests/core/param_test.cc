@@ -151,10 +151,14 @@ TEST(ParamTableTest, IsLegalChecksEveryParam)
     EXPECT_FALSE(t.isLegal(wrong_size));
 }
 
-TEST(ParamTableTest, AllLegalValuesMatchesEachParameter)
+/**
+ * A table of shared and distinct definitions, including two that
+ * differ only in a default that decides their (otherwise empty)
+ * legal set; parameters 0, 1 and 8 are defined alike.
+ */
+ParamTable
+mixedDefinitions()
 {
-    // Shared and distinct definitions, including two that differ only
-    // in a default that decides their (otherwise empty) legal set.
     ParamTable t;
     auto add = [&](ParamKind kind, int64_t divisorOf, int64_t lo,
                    int64_t hi, int64_t dflt) {
@@ -176,12 +180,33 @@ TEST(ParamTableTest, AllLegalValuesMatchesEachParameter)
     add(ParamKind::Toggle, 0, 0, 1, 1);
     add(ParamKind::Fixed, 0, 1, 1, 4);
     add(ParamKind::TileSize, 96, 1, 96, 1);
-    const auto all = t.allLegalValues();
-    ASSERT_EQ(all.size(), t.size());
-    for (size_t i = 0; i < t.size(); ++i)
-        EXPECT_EQ(all[i], t.legalValues(ParamId(i))) << "param " << i;
-    EXPECT_EQ(all[4], (std::vector<int64_t>{3}));
-    EXPECT_EQ(all[5], (std::vector<int64_t>{5}));
+    return t;
+}
+
+TEST(ParamTableTest, SharedListsMatchEachParameterListedAlone)
+{
+    const ParamTable t = mixedDefinitions();
+    for (size_t i = 0; i < t.size(); ++i) {
+        ParamTable alone;
+        const ParamId p = alone.add(t[ParamId(i)]);
+        EXPECT_EQ(t.legalValues(ParamId(i)), alone.legalValues(p))
+            << "param " << i;
+    }
+    EXPECT_EQ(t.legalValues(3), (std::vector<int64_t>{1, 2, 3, 4, 6, 8}));
+    EXPECT_EQ(t.legalValues(4), (std::vector<int64_t>{3}));
+    EXPECT_EQ(t.legalValues(5), (std::vector<int64_t>{5}));
+}
+
+TEST(ParamTableTest, EqualDefinitionsShareOneList)
+{
+    const ParamTable t = mixedDefinitions();
+    const std::vector<int64_t>* shared = &t.legalValues(0);
+    EXPECT_EQ(&t.legalValues(1), shared);
+    EXPECT_EQ(&t.legalValues(8), shared);
+    // A definition that keeps every divisor holds the divisor_of's
+    // own list, whatever its kind; a narrower one holds its slice.
+    EXPECT_EQ(&t.legalValues(2), shared);
+    EXPECT_NE(&t.legalValues(3), shared);
 }
 
 TEST(ParamTableTest, UnnamedParamRejected)

@@ -11,8 +11,15 @@
  * job, so any UB in the lexer shows up as a hard failure there.
  */
 
+#ifndef DHDL_IR_DATA_DIR
+#define DHDL_IR_DATA_DIR "."
+#endif
+
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/builder.hh"
@@ -367,6 +374,48 @@ TEST(ParserTest, DivisorOfThatFactorsCheaplyIsAccepted)
             "root %0\noffchip []\nend\n";
         EXPECT_TRUE(parseIR(text).ok()) << n;
     }
+}
+
+std::string
+readFixture(const std::string& name)
+{
+    std::ifstream is(std::string(DHDL_IR_DATA_DIR) + "/" + name);
+    std::stringstream ss;
+    ss << is.rdbuf();
+    return ss.str();
+}
+
+/** A file's distinct divisor_of values may cost 2^24 trial divisions
+ *  to list, in total: each prime just below 2^40 costs 2^19, so the
+ *  fixture's 64 fail at the 32nd, while any number of parameters on
+ *  one such prime, or 16 distinct ones, parse. */
+TEST(ParserTest, DivisorListingWorkIsBoundedPerFile)
+{
+    const std::string distinct =
+        readFixture("fuzz/divisor-of-distinct-primes.dhdl");
+    ParseResult res = parseIR(distinct);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status.diag().code, DiagCode::ParseError);
+    const std::string& msg = res.status.diag().message;
+    EXPECT_NE(msg.find("parameter 't31'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("2^24 trial divisions"), std::string::npos)
+        << msg;
+
+    std::string sixteen;
+    std::istringstream lines(distinct);
+    for (std::string line; std::getline(lines, line);) {
+        const bool extra = line.rfind("param \"t", 0) == 0 &&
+                           std::isdigit(uint8_t(line[8]));
+        if (!extra || std::stoi(line.substr(8)) < 16)
+            sixteen += line + "\n";
+    }
+    res = parseIR(sixteen);
+    ASSERT_TRUE(res.ok()) << res.status.diag().str();
+    EXPECT_EQ(res.graph->params().size(), 4u + 16u);
+
+    res = parseIR(readFixture("fuzz/divisor-of-repeated-prime.dhdl"));
+    ASSERT_TRUE(res.ok()) << res.status.diag().str();
+    EXPECT_EQ(res.graph->params().size(), 1003u);
 }
 
 TEST(ParserTest, LexicalErrorsRejected)

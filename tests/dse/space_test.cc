@@ -42,6 +42,17 @@ TEST(SpaceTest, SizeEstimateIsProductOfLegalValues)
     EXPECT_DOUBLE_EQ(sp.sizeEstimate(), expect);
 }
 
+TEST(SpaceTest, HoldsTheTablesListsNotCopies)
+{
+    Design d = spaceDesign();
+    ParamSpace space(d.graph());
+    ASSERT_EQ(space.numParams(), d.params().size());
+    for (size_t p = 0; p < space.numParams(); ++p)
+        EXPECT_EQ(&space.legalValues(p),
+                  &d.params().legalValues(ParamId(p)))
+            << "param " << p;
+}
+
 TEST(SpaceTest, SampledBindingsAreWithinLegalValues)
 {
     Design d = spaceDesign();

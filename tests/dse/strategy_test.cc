@@ -91,7 +91,7 @@ TEST(StrategyTest, SurrogateRunsGuidedRoundsAndTagsPoints)
         << "expected a seed round plus at least one guided round";
     // Round sizes follow the fixed geometric schedule: a seed round of
     // four points per parameter clamped to [8, 16], then x1.25.
-    const size_t nparams = ParamSpace(d.graph()).legalValues().size();
+    const size_t nparams = ParamSpace(d.graph()).numParams();
     const size_t seed = std::clamp<size_t>(4 * nparams, 8, 16);
     EXPECT_EQ(res.stats.rounds[0].proposed, seed);
     EXPECT_EQ(res.stats.rounds[1].proposed, seed * 5 / 4);
@@ -144,7 +144,7 @@ TEST(StrategyTest, FeatureVectorIsDeterministicAndSized)
     auto plan = Evaluator::tryCompile(d.graph());
     ASSERT_NE(plan, nullptr);
     FeatureExtractor fx(space, plan.get());
-    EXPECT_EQ(fx.count(), space.legalValues().size() + 6);
+    EXPECT_EQ(fx.count(), space.numParams() + 6);
     auto b = space.sample(1, 5).at(0);
     auto f1 = fx.features(b);
     auto f2 = fx.features(b);

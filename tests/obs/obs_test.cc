@@ -9,7 +9,8 @@
  * are reused after their threads exit, so a process that builds
  * thread pools over and over holds no more states than threads alive
  * at once. The checkpoint layer's counters and spans are asserted on
- * a real checkpointed explore and resume.
+ * a real checkpointed explore and resume, and the evaluator's stage
+ * counters against its stage spans on a threaded explore.
  */
 
 #include <gtest/gtest.h>
@@ -289,6 +290,45 @@ TEST(ObsCheckpointTest, WritesAndLoadsAreCountedAndTraced)
     EXPECT_EQ(spanNames().count("dse/checkpoint-load"), 1u);
 
     std::remove(path.c_str());
+}
+
+TEST(ObsExploreTest, StageCountersAndStageSpansAreOneClock)
+{
+    Design d = apps::buildDotproduct({960000});
+    dse::ExploreConfig cfg;
+    cfg.maxPoints = 300;
+    cfg.threads = 3;
+    explorer(); // calibrate outside the recorded window
+
+    resetMetrics();
+    resetTrace();
+    auto res = explorer().explore(d.graph(), cfg);
+    ASSERT_EQ(res.stats.evaluated, 300u);
+    const MetricsSnapshot m = snapshotMetrics();
+    const TraceSnapshot t = snapshotTrace();
+    ASSERT_EQ(t.dropped, 0u);
+
+    std::map<std::string, uint64_t> spanUs;
+    for (const TraceEvent& e : allEvents(t))
+        if (std::string(e.cat) == "dse")
+            spanUs[e.name] += e.dur;
+    for (const char* s : {"instantiate", "area", "runtime", "validate"})
+        EXPECT_EQ(m.counter(std::string("dse.stage.") + s + ".us"),
+                  spanUs[s])
+            << s;
+
+    // One sample span, one propose span per round tagged with the
+    // round index, and no per-round counters.
+    std::vector<int64_t> proposeArgs;
+    for (const TraceEvent& e : allEvents(t))
+        if (std::string(e.cat) == "dse" && std::string(e.name) == "propose")
+            proposeArgs.push_back(e.arg);
+    EXPECT_EQ(proposeArgs, std::vector<int64_t>{0});
+    EXPECT_EQ(spanNames().count("dse/sample"), 1u);
+    for (const auto& [name, value] : m.counters) {
+        EXPECT_EQ(name.find(".round."), std::string::npos) << name;
+        EXPECT_EQ(name.find("surrogate"), std::string::npos) << name;
+    }
 }
 
 } // namespace

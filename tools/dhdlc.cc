@@ -52,9 +52,7 @@
  * (src/core/faultinject.hh); dhdlc is the only place that reads it.
  */
 
-#include <cstdio>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -510,40 +508,6 @@ runCommand(const Args& args)
 }
 
 /**
- * Per-round search breakdown from the metrics snapshot: one row per
- * `dse.round.<i>.*` counter group the driver recorded. Rendered only
- * when rounds exist (any explore records round 0, so the table shows
- * for every profiled sweep; surrogate runs get one row per round).
- */
-void
-renderRounds(const obs::MetricsSnapshot& snap, std::ostream& os)
-{
-    const uint64_t rounds = snap.counter("dse.round.count");
-    if (!rounds)
-        return;
-    os << "search rounds:\n"
-       << "  round      pool  proposed evaluated     front"
-          "  propose(ms)    train(ms)     rank(ms)     eval(ms)\n";
-    auto ms = [](uint64_t us) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.1f", double(us) / 1e3);
-        return std::string(buf);
-    };
-    for (uint64_t r = 0; r < rounds; ++r) {
-        const std::string p = "dse.round." + std::to_string(r) + ".";
-        os << "  " << std::setw(5) << r << std::setw(10)
-           << snap.counter(p + "pool") << std::setw(10)
-           << snap.counter(p + "proposed") << std::setw(10)
-           << snap.counter(p + "evaluated") << std::setw(10)
-           << snap.counter(p + "front") << std::setw(13)
-           << ms(snap.counter(p + "propose.us")) << std::setw(13)
-           << ms(snap.counter(p + "train.us")) << std::setw(13)
-           << ms(snap.counter(p + "rank.us")) << std::setw(13)
-           << ms(snap.counter(p + "eval.us")) << "\n";
-    }
-}
-
-/**
  * Flush observability output. Runs even when the command failed —
  * a trace of a run that died mid-pipeline is exactly the trace worth
  * keeping.
@@ -551,11 +515,8 @@ renderRounds(const obs::MetricsSnapshot& snap, std::ostream& os)
 void
 finishObs(const Args& args)
 {
-    if (args.profile) {
-        auto snap = obs::snapshotMetrics();
-        snap.renderText(std::cerr);
-        renderRounds(snap, std::cerr);
-    }
+    if (args.profile)
+        obs::snapshotMetrics().renderText(std::cerr);
     if (!args.metrics.empty()) {
         std::ofstream os(args.metrics);
         os << serve::metricsToJson(obs::snapshotMetrics()).render()
