@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <iomanip>
 #include <iostream>
+#include <span>
 #include <unordered_set>
 
 #include "bench_common.hh"
@@ -49,7 +50,7 @@ unprunedSize(const ParamTable& params)
 
 /** Round a raw value onto the nearest legal value of a parameter. */
 int64_t
-snap(const std::vector<int64_t>& legal, int64_t v)
+snap(std::span<const int64_t> legal, int64_t v)
 {
     auto it = std::lower_bound(legal.begin(), legal.end(), v);
     if (it == legal.end())
@@ -103,7 +104,7 @@ main()
             ParamBinding b;
             for (size_t pi = 0; pi < d.params().size(); ++pi) {
                 const auto& def = d.params()[ParamId(pi)];
-                const auto& legal = d.params().legalValues(ParamId(pi));
+                const auto legal = d.params().legalValues(ParamId(pi));
                 int64_t hi = std::min(
                     def.maxValue,
                     def.divisorOf > 0 ? def.divisorOf : def.maxValue);

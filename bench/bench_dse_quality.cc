@@ -65,9 +65,12 @@ qualityTol()
 std::vector<XY>
 frontOf(const std::vector<XY>& pts)
 {
-    auto idx = dse::paretoFront(
-        pts.size(), [&](size_t i) { return pts[i].first; },
-        [&](size_t i) { return pts[i].second; });
+    std::vector<double> xs, ys;
+    for (const auto& [x, y] : pts) {
+        xs.push_back(x);
+        ys.push_back(y);
+    }
+    auto idx = dse::paretoFront(xs, ys);
     std::vector<XY> out;
     out.reserve(idx.size());
     for (size_t i : idx)

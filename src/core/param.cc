@@ -55,30 +55,28 @@ ParamTable::add(ParamDef def)
     require(!def.name.empty(), "parameter must be named");
     require(def.minValue <= def.maxValue,
             "parameter '" + def.name + "' has empty range");
-    ValueList& list = byDef_[DefKey{def.kind, def.divisorOf,
-                                    def.minValue, def.maxValue,
-                                    def.defaultValue}];
-    if (!list)
-        list = listLegal(def);
-    legal_.push_back(list);
+    const DefKey key{def.kind, def.divisorOf, def.minValue,
+                     def.maxValue, def.defaultValue};
+    auto it = byDef_.find(key);
+    if (it == byDef_.end())
+        it = byDef_.emplace(key, listLegal(def)).first;
+    legal_.push_back(it->second);
     defs_.push_back(std::move(def));
     return ParamId(defs_.size() - 1);
+}
+
+size_t
+ParamTable::checkedId(ParamId p) const
+{
+    invariant(p >= 0 && size_t(p) < defs_.size(),
+              "parameter id out of range");
+    return size_t(p);
 }
 
 const ParamDef&
 ParamTable::operator[](ParamId p) const
 {
-    invariant(p >= 0 && size_t(p) < defs_.size(),
-              "parameter id out of range");
-    return defs_[size_t(p)];
-}
-
-const ParamTable::ValueList&
-ParamTable::legalList(ParamId p) const
-{
-    invariant(p >= 0 && size_t(p) < legal_.size(),
-              "parameter id out of range");
-    return legal_[size_t(p)];
+    return defs_[checkedId(p)];
 }
 
 ParamBinding
@@ -91,29 +89,40 @@ ParamTable::defaults() const
     return b;
 }
 
-ParamTable::ValueList
+ParamTable::Range
+ParamTable::store(const std::vector<int64_t>& vals)
+{
+    const Range r{values_.size(), vals.size()};
+    values_.insert(values_.end(), vals.begin(), vals.end());
+    return r;
+}
+
+ParamTable::Range
 ParamTable::listLegal(const ParamDef& d)
 {
-    using Values = std::vector<int64_t>;
     switch (d.kind) {
       case ParamKind::Toggle:
-        return std::make_shared<const Values>(Values{0, 1});
+        return store({0, 1});
       case ParamKind::Fixed:
         break;
       case ParamKind::TileSize:
       case ParamKind::ParFactor:
         if (d.divisorOf > 0) {
-            ValueList& all = divisors_[d.divisorOf];
-            if (!all)
-                all = std::make_shared<const Values>(
-                    divisorsOf(d.divisorOf));
-            const auto lo =
-                std::lower_bound(all->begin(), all->end(), d.minValue);
-            const auto hi = std::upper_bound(lo, all->end(), d.maxValue);
-            if (lo == all->begin() && hi == all->end())
-                return all;
+            auto it = divisors_.find(d.divisorOf);
+            if (it == divisors_.end())
+                it = divisors_
+                         .emplace(d.divisorOf,
+                                  store(divisorsOf(d.divisorOf)))
+                         .first;
+            const Range all = it->second;
+            const int64_t* first = values_.data() + all.offset;
+            const int64_t* lo =
+                std::lower_bound(first, first + all.length, d.minValue);
+            const int64_t* hi =
+                std::upper_bound(lo, first + all.length, d.maxValue);
             if (lo != hi)
-                return std::make_shared<const Values>(lo, hi);
+                return Range{all.offset + size_t(lo - first),
+                             size_t(hi - lo)};
         } else {
             // At most 4097 values from minValue, never past maxValue
             // and never past INT64_MAX.
@@ -121,17 +130,17 @@ ParamTable::listLegal(const ParamDef& d)
                 uint64_t(d.maxValue) - uint64_t(d.minValue) > 4096
                     ? d.minValue + 4096
                     : d.maxValue;
-            Values vals;
+            std::vector<int64_t> vals;
             for (int64_t v = d.minValue;; ++v) {
                 vals.push_back(v);
                 if (v == hi)
                     break;
             }
-            return std::make_shared<const Values>(std::move(vals));
+            return store(vals);
         }
         break;
     }
-    return std::make_shared<const Values>(Values{d.defaultValue});
+    return store({d.defaultValue});
 }
 
 bool
@@ -140,8 +149,8 @@ ParamTable::isLegal(const ParamBinding& b) const
     if (b.values.size() != defs_.size())
         return false;
     for (size_t i = 0; i < defs_.size(); ++i) {
-        if (!std::binary_search(legal_[i]->begin(), legal_[i]->end(),
-                                b.values[i]))
+        const auto vals = legalValues(ParamId(i));
+        if (!std::binary_search(vals.begin(), vals.end(), b.values[i]))
             return false;
     }
     return true;

@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -72,17 +72,17 @@ struct ParamBinding {
 
 /**
  * The table of all parameters declared by a design. It is the one
- * owner of every parameter's legal values: add() lists them once,
- * and parameters whose definitions match — same kind, divisor_of,
- * bounds and default — share one immutable list, so a design that
- * repeats a costly divisor_of factors it once and stores it once.
+ * owner of every parameter's legal values: add() lists them once
+ * into one flat value store, and each parameter's list is a range of
+ * it. Parameters whose definitions match — same kind, divisor_of,
+ * bounds and default — share one range, and every definition on one
+ * divisor_of n is a range of n's single divisor list, so a design
+ * that repeats a costly divisor_of factors it once and stores it
+ * once, whatever bounds its definitions put on it.
  */
 class ParamTable
 {
   public:
-    /** A shared, immutable legal-value list. */
-    using ValueList = std::shared_ptr<const std::vector<int64_t>>;
-
     ParamId add(ParamDef def);
 
     const ParamDef& operator[](ParamId p) const;
@@ -93,17 +93,16 @@ class ParamTable
 
     /**
      * The legal values of a parameter under the divisor pruning
-     * heuristics, sorted ascending and never empty.
+     * heuristics, sorted ascending and never empty: a view of the
+     * table's own store, valid while the table lives and no
+     * parameter is added (moving the table keeps it valid).
      */
-    const std::vector<int64_t>&
+    std::span<const int64_t>
     legalValues(ParamId p) const
     {
-        return *legalList(p);
+        const Range& r = legal_[checkedId(p)];
+        return {values_.data() + r.offset, r.length};
     }
-
-    /** The shared list behind legalValues(p), for holders that may
-     *  outlive the table (dse::ParamSpace). */
-    const ValueList& legalList(ParamId p) const;
 
     /** True when the binding assigns a legal value to every param. */
     bool isLegal(const ParamBinding& b) const;
@@ -112,14 +111,23 @@ class ParamTable
     using DefKey = std::tuple<ParamKind, int64_t, int64_t, int64_t,
                               int64_t>;
 
-    ValueList listLegal(const ParamDef& d);
+    /** A legal-value list: values_[offset, offset + length). */
+    struct Range {
+        size_t offset = 0;
+        size_t length = 0;
+    };
+
+    size_t checkedId(ParamId p) const;
+    Range listLegal(const ParamDef& d);
+    /** Append `vals` to the store as a new range. */
+    Range store(const std::vector<int64_t>& vals);
 
     std::vector<ParamDef> defs_;
-    std::vector<ValueList> legal_;      //!< By parameter id.
-    std::map<DefKey, ValueList> byDef_; //!< One list per definition.
-    /** divisorsOf(n) once per distinct divisor_of n; definitions that
-     *  keep every divisor share it. */
-    std::map<int64_t, ValueList> divisors_;
+    std::vector<int64_t> values_;  //!< Every legal-value list.
+    std::vector<Range> legal_;     //!< By parameter id.
+    std::map<DefKey, Range> byDef_; //!< One range per definition.
+    /** divisorsOf(n)'s range, once per distinct divisor_of n. */
+    std::map<int64_t, Range> divisors_;
 };
 
 /**

@@ -157,14 +157,7 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     // null and each point reports the error individually. A caller
     // that already holds the plan (the serving layer's plan cache)
     // passes it in and the compile — span included — never happens.
-    auto plan = cfg.plan;
-    if (!plan) {
-        const auto planT0 = Clock::now();
-        plan = Evaluator::tryCompile(g);
-        res.stats.planSeconds = secondsSince(planT0);
-        obs::recordSpan("dse", "plan-compile", obs::toMicros(planT0),
-                        uint64_t(res.stats.planSeconds * 1e6));
-    }
+    const auto plan = cfg.plan ? cfg.plan : Evaluator::tryCompile(g);
 
     auto strategy =
         makeStrategy(cfg, space, plan.get(), res.points, sink);
@@ -246,17 +239,14 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     for (int round = 0; remaining > 0; ++round) {
         RoundStats rs;
         rs.round = round;
-        rs.poolBefore = pool.size();
 
         proposed.clear();
-        const auto pT0 = Clock::now();
-        strategy->propose(round, pool, size_t(remaining), front,
-                          proposed, rs);
-        const auto pT1 = Clock::now();
-        rs.proposeSeconds =
-            std::chrono::duration<double>(pT1 - pT0).count();
-        obs::recordSpan("dse", "propose", obs::toMicros(pT0),
-                        obs::toMicros(pT1) - obs::toMicros(pT0), round);
+        {
+            obs::TraceSpan span("dse", "propose");
+            span.setArg(round);
+            strategy->propose(round, pool, size_t(remaining), front,
+                              proposed, rs);
+        }
         if (proposed.empty())
             break;
         rs.proposed = proposed.size();
@@ -270,7 +260,6 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
             cfg.checkpointPath.empty()
                 ? std::max<int64_t>(n, 1)
                 : std::max<int64_t>(1, cfg.checkpointEvery);
-        const auto eT0 = Clock::now();
         for (int64_t lo = 0; lo < n; lo += slice) {
             const int64_t hi = std::min(n, lo + slice);
             if (tpool) {
@@ -285,7 +274,6 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
             if (halted())
                 break;
         }
-        rs.evalSeconds = secondsSince(eT0);
 
         strategy->observe(round, res.points, proposed);
         for (size_t idx : proposed) {
@@ -297,7 +285,6 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
             if (p.valid)
                 front.insert(idx, p.area.alms, double(p.cycles));
         }
-        rs.frontSize = front.size();
         remaining -= int64_t(rs.evaluated);
 
         // Spent candidates leave the pool; proposed-but-skipped ones
@@ -350,10 +337,10 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     // what `dhdlc --profile`, `--metrics` and the throughput bench
     // render. One source of truth with ExploreStats — same numbers,
     // recorded once per explore() call. The dse.stage.*.us counters
-    // are added by the evaluators, where the stages are timed.
+    // are added by the evaluators, where the stages are timed, and
+    // dse.plan.compile.us by Evaluator::tryCompile().
     static const obs::Counter cRuns("dse.explore.runs");
     static const obs::Counter cUs("dse.explore.us");
-    static const obs::Counter cPlanUs("dse.plan.compile.us");
     static const obs::Counter cEval("dse.points.evaluated");
     static const obs::Counter cFail("dse.points.failed");
     static const obs::Counter cValid("dse.points.valid");
@@ -364,7 +351,6 @@ Explorer::explore(const Graph& g, const ExploreConfig& cfg) const
     };
     cRuns.add(1);
     cUs.add(us(secondsSince(t0)));
-    cPlanUs.add(us(res.stats.planSeconds));
     cEval.add(res.stats.evaluated);
     cFail.add(res.stats.failed);
     cValid.add(res.stats.valid);

@@ -59,11 +59,20 @@ renderBinding(const Graph& g, const ParamBinding& b)
 std::shared_ptr<const DesignPlan>
 Evaluator::tryCompile(const Graph& g) noexcept
 {
+    static const obs::Counter cPlanUs("dse.plan.compile.us");
+    const uint64_t t0 = obs::nowMicros();
+    std::shared_ptr<const DesignPlan> plan;
     try {
-        return std::make_shared<const DesignPlan>(g);
+        plan = std::make_shared<const DesignPlan>(g);
     } catch (...) {
-        return nullptr;
+        // Null plan: each point then reports the graph's error.
     }
+    // The span and the counter read one duration, as recordStages'
+    // stage spans and counters do.
+    const uint64_t us = obs::nowMicros() - t0;
+    obs::recordSpan("dse", "plan-compile", t0, us);
+    cPlanUs.add(us);
+    return plan;
 }
 
 Evaluator::Evaluator(const est::AreaEstimator& area,

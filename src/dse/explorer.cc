@@ -58,14 +58,6 @@ sortDiags(std::vector<Diag>& diags)
 std::vector<size_t>
 paretoOf(const std::vector<DesignPoint>& points)
 {
-    // Same algorithm as paretoFront, with the objectives gathered
-    // into flat arrays first: the sort comparator then reads two
-    // doubles instead of calling through std::function four times,
-    // which matters when every explore() call ends here. The
-    // comparison outcomes (and hence the sorted order and front) are
-    // exactly paretoFront's — including the index tie-break that
-    // makes the front canonical under (x, y) duplicates, which the
-    // incremental ParetoFront reproduces insertion-order-free.
     std::vector<size_t> valid;
     std::vector<double> xs, ys;
     for (size_t i = 0; i < points.size(); ++i) {
@@ -75,25 +67,9 @@ paretoOf(const std::vector<DesignPoint>& points)
             ys.push_back(double(points[i].cycles));
         }
     }
-    std::vector<size_t> order(valid.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (xs[a] != xs[b])
-            return xs[a] < xs[b];
-        if (ys[a] != ys[b])
-            return ys[a] < ys[b];
-        return a < b;
-    });
-
-    std::vector<size_t> out;
-    double best_y = 1e300;
-    for (size_t i : order) {
-        if (ys[i] < best_y) {
-            out.push_back(valid[i]);
-            best_y = ys[i];
-        }
-    }
+    std::vector<size_t> out = paretoFront(xs, ys);
+    for (size_t& i : out)
+        i = valid[i];
     return out;
 }
 

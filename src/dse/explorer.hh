@@ -123,10 +123,11 @@ struct ExploreConfig {
 
     /**
      * Precompiled DesignPlan to share (the serving layer's
-     * content-addressed plan cache hands one out per cached design).
-     * When set, the driver skips plan compilation entirely — no
-     * plan-compile span is recorded and stats.planSeconds stays 0 —
-     * and every worker evaluator binds against this plan. Must have
+     * content-addressed plan cache hands one out per cached design,
+     * whose compile recorded its own plan-compile span there). When
+     * set, the driver skips plan compilation entirely — this run
+     * records no plan-compile span — and every worker evaluator
+     * binds against this plan. Must have
      * been compiled from a graph whose canonical IR equals this run's
      * graph; the plan cache keys by exactly that hash.
      */
@@ -160,19 +161,15 @@ struct ExploreConfig {
     std::shared_ptr<const std::atomic<bool>> cancel;
 };
 
-/** Per-round accounting of the search driver. The dsebench
- *  `surrogate` workload builds these itself; the struct keeps its
- *  shape until that workload is retired. */
+/** Per-round accounting of the search driver; the round's times are
+ *  in the trace (`dse/propose`, `dse/surrogate-train`, ...). The
+ *  dsebench `surrogate` workload builds these itself and reads
+ *  trainSeconds. */
 struct RoundStats {
     int round = 0;
-    size_t poolBefore = 0; //!< Un-evaluated candidates before round.
-    size_t proposed = 0;   //!< Points the strategy proposed.
-    size_t evaluated = 0;  //!< Points actually evaluated (budgets).
-    size_t frontSize = 0;  //!< Incremental Pareto front after round.
-    double proposeSeconds = 0; //!< propose() incl. train + rank.
-    double trainSeconds = 0;   //!< Surrogate refit inside propose().
-    double rankSeconds = 0;    //!< Pool scoring inside propose().
-    double evalSeconds = 0;    //!< Evaluation slice loop.
+    size_t proposed = 0;     //!< Points the strategy proposed.
+    size_t evaluated = 0;    //!< Points actually evaluated (budgets).
+    double trainSeconds = 0; //!< Surrogate refit inside propose().
     /** Indices evaluated this round, in evaluation order (the
      *  strategy's ranked proposal order). Lets quality benches
      *  measure evals-to-front at single-evaluation granularity
@@ -198,8 +195,6 @@ struct ExploreStats {
     bool timeBudgetHit = false;
     bool evalBudgetHit = false;
     bool cancelled = false; //!< Stopped by ExploreConfig::cancel.
-    /** Wall-clock of the one-time DesignPlan compilation. */
-    double planSeconds = 0;
     /** One entry per search round, in order. */
     std::vector<RoundStats> rounds;
 };

@@ -5,26 +5,25 @@
 namespace dhdl::dse {
 
 std::vector<size_t>
-paretoFront(size_t n, const std::function<double(size_t)>& x,
-            const std::function<double(size_t)>& y)
+paretoFront(std::span<const double> xs, std::span<const double> ys)
 {
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i)
+    std::vector<size_t> order(xs.size());
+    for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        if (x(a) != x(b))
-            return x(a) < x(b);
-        if (y(a) != y(b))
-            return y(a) < y(b);
+        if (xs[a] != xs[b])
+            return xs[a] < xs[b];
+        if (ys[a] != ys[b])
+            return ys[a] < ys[b];
         return a < b;
     });
 
     std::vector<size_t> front;
     double best_y = 1e300;
     for (size_t i : order) {
-        if (y(i) < best_y) {
+        if (ys[i] < best_y) {
             front.push_back(i);
-            best_y = y(i);
+            best_y = ys[i];
         }
     }
     return front;

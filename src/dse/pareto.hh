@@ -22,20 +22,19 @@
 #define DHDL_DSE_PARETO_HH
 
 #include <cstddef>
-#include <functional>
+#include <span>
 #include <vector>
 
 namespace dhdl::dse {
 
 /**
- * Indices of the Pareto-minimal points under objectives (x, y).
- * A point is Pareto-optimal when no other point is <= in both
- * objectives and < in at least one; exact (x, y) duplicates keep
- * only the lowest index. Returned sorted by x ascending.
+ * Indices of the Pareto-minimal points (xs[i], ys[i]); xs and ys have
+ * equal length. A point is Pareto-optimal when no other point is <=
+ * in both objectives and < in at least one; exact (x, y) duplicates
+ * keep only the lowest index. Returned sorted by x ascending.
  */
 std::vector<size_t>
-paretoFront(size_t n, const std::function<double(size_t)>& x,
-            const std::function<double(size_t)>& y);
+paretoFront(std::span<const double> xs, std::span<const double> ys);
 
 /**
  * Incrementally maintained Pareto front (both objectives minimized).

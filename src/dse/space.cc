@@ -109,7 +109,7 @@ ParamSpace::ParamSpace(const Graph& g)
 {
     legal_.reserve(g.params().size());
     for (size_t p = 0; p < g.params().size(); ++p)
-        legal_.push_back(g.params().legalList(ParamId(p)));
+        legal_.push_back(g.params().legalValues(ParamId(p)));
     for (NodeId id = 0; id < NodeId(g.numNodes()); ++id) {
         const Node& n = g.node(id);
         if (n.kind() == NodeKind::Bram || n.kind() == NodeKind::Queue) {
@@ -204,7 +204,7 @@ ParamSpace::sizeEstimate() const
 {
     double n = 1;
     for (const auto& vs : legal_)
-        n *= double(vs->size());
+        n *= double(vs.size());
     return n;
 }
 
@@ -235,14 +235,14 @@ ParamSpace::enumerate(int64_t cap) const
         ParamBinding b;
         b.values.reserve(legal_.size());
         for (size_t i = 0; i < legal_.size(); ++i)
-            b.values.push_back((*legal_[i])[idx[i]]);
+            b.values.push_back(legal_[i][idx[i]]);
         if (isLegal(b))
             out.push_back(std::move(b));
 
         // Odometer advance.
         size_t d = legal_.size();
         while (d-- > 0) {
-            if (++idx[d] < legal_[d]->size())
+            if (++idx[d] < legal_[d].size())
                 break;
             idx[d] = 0;
             if (d == 0)
@@ -279,7 +279,7 @@ ParamSpace::sample(int n, uint64_t seed, DiagSink* sink) const
     std::vector<Slot> slots;
     slots.reserve(legal_.size());
     for (const auto& vs : legal_)
-        slots.push_back({vs->data(), FastDraw(uint64_t(vs->size()))});
+        slots.push_back({vs.data(), FastDraw(uint64_t(vs.size()))});
     // The legal space can be smaller than n; bound the attempts.
     int64_t attempts = int64_t(n) * 20 + 1000;
     // One candidate reused across rejection attempts; copied into

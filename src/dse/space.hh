@@ -15,6 +15,8 @@
 #ifndef DHDL_DSE_SPACE_HH
 #define DHDL_DSE_SPACE_HH
 
+#include <span>
+
 #include "analysis/instance.hh"
 #include "core/diag.hh"
 
@@ -35,12 +37,13 @@ class ParamSpace
     /** Number of parameters of the space. */
     size_t numParams() const { return legal_.size(); }
 
-    /** Legal values of parameter p (pruned): the graph's
-     *  ParamTable list itself, held, not copied. */
-    const std::vector<int64_t>&
+    /** Legal values of parameter p (pruned): a view of the graph's
+     *  ParamTable store, not a copy, so the space must not outlive
+     *  the graph. */
+    std::span<const int64_t>
     legalValues(size_t p) const
     {
-        return *legal_[p];
+        return legal_[p];
     }
 
     /**
@@ -122,7 +125,7 @@ class ParamSpace
         int64_t bits(const ParamBinding& b) const;
     };
 
-    std::vector<ParamTable::ValueList> legal_; //!< By parameter id.
+    std::vector<std::span<const int64_t>> legal_; //!< By parameter id.
     //!< Size-capped local memories (Bram/Queue) in node-id order,
     //!< compiled once so isLegal() skips the full node walk.
     std::vector<MemCheck> memChecks_;

@@ -283,7 +283,7 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
         return;
     }
 
-    const auto t0 = Clock::now();
+    DHDL_OBS_SPAN("dse", "surrogate-rank");
     // Map the front into scaled target space once; candidates are
     // then scored by their predicted dominance distance — the
     // Chebyshev gap to the nearest front entry, negative when the
@@ -326,13 +326,17 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
         std::vector<size_t> alive(pool.size());
         for (size_t k = 0; k < pool.size(); ++k)
             alive[k] = k;
+        std::vector<double> xs, ys;
         size_t ranked = 0;
         for (int l = 0; !alive.empty() && ranked < 4 * roundSize;
              ++l) {
-            auto fr = paretoFront(
-                alive.size(),
-                [&](size_t i) { return preds_[alive[i]][0]; },
-                [&](size_t i) { return preds_[alive[i]][1]; });
+            xs.clear();
+            ys.clear();
+            for (size_t k : alive) {
+                xs.push_back(preds_[k][0]);
+                ys.push_back(preds_[k][1]);
+            }
+            auto fr = paretoFront(xs, ys);
             std::vector<char> onFront(alive.size(), 0);
             for (size_t i : fr) {
                 layer[alive[i]] = l;
@@ -472,7 +476,7 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
         const ParamBinding& fb = points_[e.index].binding;
         for (size_t pi = 0;
              pi < space_.numParams() && nbr < nNbr; ++pi) {
-            const auto& lv = space_.legalValues(pi);
+            const auto lv = space_.legalValues(pi);
             const auto at = std::lower_bound(lv.begin(), lv.end(),
                                              fb.values[pi]);
             if (at == lv.end() || *at != fb.values[pi])
@@ -527,11 +531,6 @@ SurrogateStrategy::propose(int round, const std::vector<size_t>& pool,
     for (size_t& k : rest)
         k = pool[k];
     drawRandom(rest, exLeft);
-
-    const double dt = secondsSince(t0);
-    rs.rankSeconds += dt;
-    obs::recordSpan("dse", "surrogate-rank", obs::toMicros(t0),
-                    uint64_t(dt * 1e6));
 }
 
 std::unique_ptr<SearchStrategy>

@@ -49,8 +49,8 @@ class SearchStrategy
     /**
      * Append up to `budget` candidate indices from `pool` to `out`
      * for round `round`. `front` is the current incremental Pareto
-     * front over everything evaluated so far. Strategy-internal
-     * timing (model refit, pool ranking) is reported on `rs`.
+     * front over everything evaluated so far. The surrogate's model
+     * refit time is reported on `rs`.
      */
     virtual void propose(int round, const std::vector<size_t>& pool,
                          size_t budget, const ParetoFront& front,

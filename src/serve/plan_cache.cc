@@ -1,28 +1,11 @@
 #include "serve/plan_cache.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "core/checksum.hh"
 #include "core/printer.hh"
 
 namespace dhdl::serve {
-
-namespace {
-
-/** Compile the plan for an entry, recording its wall-clock. */
-void
-compileInto(CachedPlan& entry)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    entry.plan = dse::Evaluator::tryCompile(entry.graph);
-    entry.planSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now()
-                                      - t0)
-            .count();
-}
-
-} // namespace
 
 PlanCache::PlanCache(size_t capacity)
     : cap_(std::max<size_t>(1, capacity)) {}
@@ -71,7 +54,7 @@ PlanCache::acquire(Graph g, bool* hit)
             auto entry = std::make_shared<CachedPlan>(std::move(g));
             entry->key = key;
             entry->ir = ir;
-            compileInto(*entry);
+            entry->plan = dse::Evaluator::tryCompile(entry->graph);
             return entry;
         }
         // The builder vanished (its insert failed); fall through and
@@ -91,7 +74,7 @@ PlanCache::acquire(Graph g, bool* hit)
     auto entry = std::make_shared<CachedPlan>(std::move(g));
     entry->key = key;
     entry->ir = ir;
-    compileInto(*entry);
+    entry->plan = dse::Evaluator::tryCompile(entry->graph);
 
     lock.lock();
     auto slot = map_.find(key);

@@ -40,12 +40,11 @@ struct CachedPlan {
     std::string ir;    //!< Canonical emitIR text (collision guard).
     Graph graph;       //!< The graph the plan was compiled from.
     /** Compile-once plan; null for structurally broken graphs (the
-     *  evaluator then falls back per point, as everywhere else). */
+     *  evaluator then falls back per point, as everywhere else). Its
+     *  compile is one `dse/plan-compile` span on the acquiring
+     *  thread, recorded by Evaluator::tryCompile(); a hit records
+     *  none. */
     std::shared_ptr<const DesignPlan> plan;
-    /** Wall-clock of the one-time compile. The serving layer stamps
-     *  this into the *first* job's stats so a cold job's trace shows
-     *  the plan-compile span and a cache hit's doesn't. */
-    double planSeconds = 0;
 
     explicit CachedPlan(Graph g) : graph(std::move(g)) {}
 };

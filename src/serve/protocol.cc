@@ -288,41 +288,6 @@ readLine(int fd, std::string& buf, std::string& line)
 }
 
 Json
-jobTraceToJson(const dse::ExploreResult& res)
-{
-    auto us = [](double sec) {
-        return sec > 0 ? uint64_t(sec * 1e6) : uint64_t(0);
-    };
-    Json events = Json::array();
-    auto span = [&](const std::string& name, uint64_t ts,
-                    uint64_t dur) {
-        events.push(traceEventToJson("serve", name, 1, ts, dur));
-    };
-    uint64_t now = 0;
-    // planSeconds is 0 exactly when the driver received a cached
-    // plan, so a cache-hit job's trace has no plan-compile span.
-    if (res.stats.planSeconds > 0) {
-        span("plan-compile", now, us(res.stats.planSeconds));
-        now += us(res.stats.planSeconds);
-    }
-    for (const dse::RoundStats& rs : res.stats.rounds) {
-        const std::string label = "round-" + std::to_string(rs.round);
-        span(label + ".propose", now, us(rs.proposeSeconds));
-        if (rs.trainSeconds > 0)
-            span(label + ".train", now, us(rs.trainSeconds));
-        if (rs.rankSeconds > 0)
-            span(label + ".rank", now, us(rs.rankSeconds));
-        now += us(rs.proposeSeconds);
-        span(label + ".eval", now, us(rs.evalSeconds));
-        now += us(rs.evalSeconds);
-    }
-    Json j = Json::object();
-    j.set("traceEvents", std::move(events));
-    j.set("displayTimeUnit", "ms");
-    return j;
-}
-
-Json
 metricsToJson(const obs::MetricsSnapshot& m)
 {
     Json counters = Json::object();

@@ -10,9 +10,9 @@
  *   {"op":"status","job":N}                         poll a job
  *   {"op":"result","job":N,"wait":true}             fetch the result
  *   {"op":"cancel","job":N}                         cooperative cancel
- *   {"op":"metrics"}                                /metrics text
- *   {"op":"trace","job":N}                          per-job trace JSON
  *   {"op":"shutdown"}                               graceful drain
+ *
+ * Any other op is a structured ParseError ("unknown op").
  *
  * A submit's "config" object takes exactly the keys of the
  * config-key table in protocol.cc, the one list of (wire key,
@@ -28,15 +28,18 @@
  * `{"event":"round",...}` lines as search rounds complete and a final
  * `{"event":"done","result":{...}}`.
  *
- * The same socket doubles as a plain-text scrape target: a line
- * beginning with `GET /metrics` is answered with an HTTP/1.0
- * Prometheus exposition-format response and the connection closes —
- * `curl http://127.0.0.1:PORT/metrics` works against a dhdld.
+ * The same socket doubles as an HTTP scrape target: a line beginning
+ * with `GET /metrics` is answered with an HTTP/1.0 Prometheus
+ * exposition-format response, one beginning with `GET /trace` with
+ * the process's obs trace as a Chrome-trace document (the
+ * writeChromeTrace() file `dhdlc --trace` writes), and the
+ * connection closes — `curl http://127.0.0.1:PORT/metrics` and
+ * `curl http://127.0.0.1:PORT/trace` work against a dhdld.
  *
  * This header also owns the version string, the line transport of
  * both ends, and the deterministic renderers (Pareto front, job
- * result and its summary, per-job trace, obs metrics and process
- * trace) shared by the server, dhdlc and the byte-identity tests: a
+ * result and its summary, obs metrics and trace) shared by the
+ * server, dhdlc and the byte-identity tests: a
  * streamed result and an offline `dhdlc explore` of the same
  * seed/config render through the identical code, so equal results
  * are equal bytes and print the same summary.
@@ -138,16 +141,6 @@ Status writeLine(int fd, std::string_view line);
 Status readLine(int fd, std::string& buf, std::string& line);
 
 /**
- * Per-job Chrome-trace export built from ExploreStats: a
- * plan-compile span (only when this job actually compiled — a plan
- * cache hit has none, which the end-to-end test asserts) and one
- * propose/train/rank/eval span group per search round, on a
- * synthetic timeline starting at 0. Every span comes from
- * traceEventToJson(), like the process trace's.
- */
-Json jobTraceToJson(const dse::ExploreResult& res);
-
-/**
  * A metrics snapshot as `{"counters":{name:n,...},"gauges":{...},
  * "histograms":{name:{"bounds":[...],"counts":[...],"count":n,
  * "sum":n},...}}`, entries in snapshot (name-sorted) order — the
@@ -156,9 +149,9 @@ Json jobTraceToJson(const dse::ExploreResult& res);
 Json metricsToJson(const obs::MetricsSnapshot& m);
 
 /**
- * One complete ("X") Chrome-trace event: the single event format of
- * both the process trace and the per-job trace. `arg` >= 0 adds
- * `"args":{"i":arg}` (the explorer stores the design-point index).
+ * One complete ("X") Chrome-trace event, the event format of
+ * writeChromeTrace(). `arg` >= 0 adds `"args":{"i":arg}` (the
+ * explorer stores the design-point index).
  */
 Json traceEventToJson(const std::string& cat, const std::string& name,
                       uint32_t tid, uint64_t ts, uint64_t dur,
@@ -167,7 +160,8 @@ Json traceEventToJson(const std::string& cat, const std::string& name,
 /**
  * Stream a trace snapshot as one Chrome-trace document
  * (`{"displayTimeUnit":"ms","traceEvents":[...],"otherData":
- * {"droppedEvents":n}}`) — the `dhdlc --trace` file. Each thread
+ * {"droppedEvents":n}}`) — the `dhdlc --trace` file and dhdld's
+ * `GET /trace` body. Each thread
  * contributes a thread_name metadata event, so Perfetto labels rows
  * "worker-N", then its events in timestamp order, one per line. A
  * snapshot may hold 1<<20 events per thread, so events are rendered

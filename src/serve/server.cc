@@ -9,11 +9,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <sstream>
 
 #include "apps/apps.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
+#include "obs/trace.hh"
 
 namespace dhdl::serve {
 
@@ -60,6 +62,18 @@ struct Server::Job {
      *  sessions replay this log so no event is ever missed. */
     std::vector<std::string> events;
 };
+
+namespace {
+
+/** resultToJson() inside one serve/render-result span. */
+Json
+renderResult(const Graph& g, const dse::ExploreResult& res)
+{
+    DHDL_OBS_SPAN("serve", "render-result");
+    return resultToJson(g, res);
+}
+
+} // namespace
 
 Server::Server(const est::AreaEstimator& area,
                const est::RuntimeEstimator& runtime, ServerConfig cfg)
@@ -196,7 +210,11 @@ Server::session(int fd)
         Json req;
         Json resp;
         bool closeAfter = false;
-        Status st = parseJson(line, req);
+        Status st;
+        {
+            DHDL_OBS_SPAN("serve", "parse");
+            st = parseJson(line, req);
+        }
         if (!st.ok() || !req.isObject()) {
             std::lock_guard<std::mutex> lk(jobsMu_);
             ++counters_.requests;
@@ -221,15 +239,24 @@ Server::session(int fd)
 void
 Server::serveHttp(int fd, const std::string& requestLine)
 {
-    const bool metrics =
-        requestLine.rfind("GET /metrics", 0) == 0;
-    std::string body = metrics ? metricsText() : "not found\n";
+    const char* status = "200 OK";
+    const char* type = "text/plain; version=0.0.4; charset=utf-8";
+    std::ostringstream body;
+    if (requestLine.rfind("GET /metrics", 0) == 0) {
+        body << metricsText();
+    } else if (requestLine.rfind("GET /trace", 0) == 0) {
+        type = "application/json";
+        writeChromeTrace(body, obs::snapshotTrace());
+    } else {
+        status = "404 Not Found";
+        body << "not found\n";
+    }
+    const std::string text = body.str();
     std::ostringstream os;
-    os << "HTTP/1.0 " << (metrics ? "200 OK" : "404 Not Found")
-       << "\r\nContent-Type: text/plain; version=0.0.4; "
-          "charset=utf-8\r\nContent-Length: "
-       << body.size() << "\r\nConnection: close\r\n\r\n"
-       << body;
+    os << "HTTP/1.0 " << status << "\r\nContent-Type: " << type
+       << "\r\nContent-Length: " << text.size()
+       << "\r\nConnection: close\r\n\r\n"
+       << text;
     writeAll(fd, os.str());
 }
 
@@ -270,10 +297,6 @@ Server::dispatch(int fd, const Json& req, bool& closeAfter)
         return handleResult(req);
     if (name == "cancel")
         return handleCancel(req);
-    if (name == "trace")
-        return handleTrace(req);
-    if (name == "metrics")
-        return handleMetrics();
     if (name == "shutdown") {
         requestStop();
         closeAfter = true;
@@ -324,6 +347,9 @@ Server::findJob(const Json& req, Json* err)
 Json
 Server::handleSubmit(int fd, const Json& req)
 {
+    // Admission, design load and plan-cache acquire; ends before any
+    // event is streamed.
+    std::optional<obs::TraceSpan> span(std::in_place, "serve", "submit");
     std::string tenant = "anonymous";
     if (const Json* t = req.find("tenant");
         t && t->isString() && !t->asString().empty())
@@ -432,6 +458,7 @@ Server::handleSubmit(int fd, const Json& req)
         ++counters_.submitted;
     }
     pool_->submit([this, job] { runJob(job); });
+    span.reset();
 
     Json resp = Json::object();
     resp.set("ok", true);
@@ -494,12 +521,6 @@ Server::runJob(std::shared_ptr<Job> j)
         try {
             dse::ExploreResult res =
                 ex.explore(j->design->graph, cfg);
-            // The plan was compiled inside the cache, not the driver;
-            // attribute its wall-clock to the first (miss) job so a
-            // cold trace shows the plan-compile span and a cache hit's
-            // doesn't.
-            if (!j->cacheHit)
-                res.stats.planSeconds = j->design->planSeconds;
             std::lock_guard<std::mutex> lk(jobsMu_);
             j->result = std::move(res);
             j->state = j->result.stats.cancelled
@@ -526,11 +547,11 @@ Server::runJob(std::shared_ptr<Job> j)
     switch (j->state) {
     case JobState::Done:
         ++counters_.done;
-        ev.set("result", resultToJson(j->design->graph, j->result));
+        ev.set("result", renderResult(j->design->graph, j->result));
         break;
     case JobState::Cancelled:
         ++counters_.cancelled;
-        ev.set("result", resultToJson(j->design->graph, j->result));
+        ev.set("result", renderResult(j->design->graph, j->result));
         break;
     default:
         ++counters_.failed;
@@ -614,7 +635,7 @@ Server::handleResult(const Json& req)
     resp.set("state", jobStateName(j->state));
     resp.set("cached", j->cacheHit);
     if (j->finished)
-        resp.set("result", resultToJson(j->design->graph, j->result));
+        resp.set("result", renderResult(j->design->graph, j->result));
     return resp;
 }
 
@@ -632,36 +653,6 @@ Server::handleCancel(const Json& req)
     resp.set("job", j->id);
     resp.set("state", jobStateName(j->state));
     resp.set("cancelling", !j->finished);
-    return resp;
-}
-
-Json
-Server::handleTrace(const Json& req)
-{
-    Json err;
-    auto j = findJob(req, &err);
-    if (!j)
-        return err;
-    std::lock_guard<std::mutex> lk(jobsMu_);
-    if (!j->finished || j->state == JobState::Failed)
-        return errorResponse(DiagCode::UserError,
-                             "job " + std::to_string(j->id) +
-                                 " has no trace (state " +
-                                 jobStateName(j->state) + ")");
-    Json resp = Json::object();
-    resp.set("ok", true);
-    resp.set("job", j->id);
-    resp.set("cached", j->cacheHit);
-    resp.set("trace", jobTraceToJson(j->result));
-    return resp;
-}
-
-Json
-Server::handleMetrics()
-{
-    Json resp = Json::object();
-    resp.set("ok", true);
-    resp.set("text", metricsText());
     return resp;
 }
 

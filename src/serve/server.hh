@@ -4,7 +4,8 @@
  *
  *  - a loopback TCP listener speaking the line-delimited JSON
  *    protocol (serve/protocol.hh), one session thread per connection
- *    (plus a `GET /metrics` HTTP fast path for scrapers);
+ *    (plus `GET /metrics` and `GET /trace` HTTP fast paths for
+ *    scrapers);
  *  - the content-addressed DesignPlan cache (serve/plan_cache.hh),
  *    so a resubmitted design never recompiles its plan;
  *  - an admission-controlled job queue executed on the existing
@@ -142,14 +143,15 @@ class Server
     Json handleStatus(const Json& req);
     Json handleResult(const Json& req);
     Json handleCancel(const Json& req);
-    Json handleTrace(const Json& req);
-    Json handleMetrics();
 
     void runJob(std::shared_ptr<Job> j);
     std::shared_ptr<Job> findJob(const Json& req, Json* err);
     /** Stream job events to fd from `from`; returns false when the
      *  client went away. */
     bool streamEvents(int fd, const std::shared_ptr<Job>& j);
+    /** Answer `GET /metrics` with metricsText() or `GET /trace` with
+     *  the obs trace as one Chrome-trace document (writeChromeTrace,
+     *  the `dhdlc --trace` renderer); any other path is a 404. */
     void serveHttp(int fd, const std::string& requestLine);
 
     const est::AreaEstimator& area_;

@@ -10,7 +10,9 @@
  *     emitIR(parseIR(emitIR(g))) == emitIR(g);
  *  4. the standard passes run on an accepted graph without throwing.
  *
- * The seed and budget are fixed, so every run feeds the same inputs.
+ * Each input must also finish within kInputSeconds, so "never
+ * hangs" is checked, not assumed. The seed and budget are fixed, so
+ * every run feeds the same inputs.
  * An input that once broke an invariant is kept under tests/ir/fuzz/
  * and replayed by IRFuzz.RegressionInputsKeepInvariants.
  */
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -38,6 +41,11 @@ namespace dhdl {
 namespace {
 
 constexpr int kBudget = 20000;
+
+/** Seconds one input may spend in timedViolation(): over 100x the
+ *  slowest input under ASan+UBSan (15 ms, a regression input), so
+ *  only a hang or a blow-up in what a file can cost trips it. */
+constexpr double kInputSeconds = 2.0;
 constexpr uint64_t kSeed = 0xd1d1f022ull;
 
 const char* const kFixtures[] = {
@@ -110,6 +118,26 @@ violation(const std::string& input, bool* accepted = nullptr)
         return std::string("standard passes threw: ") + e.what();
     }
     return {};
+}
+
+/**
+ * violation(), plus a failure when the input takes longer than
+ * kInputSeconds; `worst` keeps the slowest time seen.
+ */
+std::string
+timedViolation(const std::string& input, double& worst,
+               bool* accepted = nullptr)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    std::string why = violation(input, accepted);
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    worst = std::max(worst, s);
+    if (why.empty() && s > kInputSeconds)
+        why = "took " + std::to_string(s) + " s, over the " +
+              std::to_string(kInputSeconds) + " s bound";
+    return why;
 }
 
 /** Replace one token of `line` (a run outside ` =[],:()`) by `to`. */
@@ -185,10 +213,11 @@ TEST(IRFuzz, MutatedFixturesKeepParserInvariants)
     }
     ml::Rng rng(kSeed);
     int accepted = 0;
+    double worst = 0;
     for (int i = 0; i < kBudget; ++i) {
         const std::string input = mutate(rng, corpus);
         bool ok = false;
-        const std::string why = violation(input, &ok);
+        const std::string why = timedViolation(input, worst, &ok);
         ASSERT_TRUE(why.empty()) << "input " << i << ": " << why
                                  << "\n--- input ---\n" << input;
         accepted += ok ? 1 : 0;
@@ -196,6 +225,7 @@ TEST(IRFuzz, MutatedFixturesKeepParserInvariants)
     // Both sides of the parser must be exercised.
     EXPECT_GT(accepted, kBudget / 100);
     EXPECT_LT(accepted, kBudget - kBudget / 100);
+    RecordProperty("worst_input_us", int(worst * 1e6));
 }
 
 TEST(IRFuzz, RegressionInputsKeepInvariants)
@@ -206,8 +236,10 @@ TEST(IRFuzz, RegressionInputsKeepInvariants)
         files.push_back(e.path());
     std::sort(files.begin(), files.end());
     ASSERT_FALSE(files.empty());
+    double worst = 0;
     for (const auto& f : files)
-        EXPECT_EQ(violation(readFile(f)), "") << f;
+        EXPECT_EQ(timedViolation(readFile(f), worst), "") << f;
+    RecordProperty("worst_input_us", int(worst * 1e6));
 }
 
 } // namespace

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/param.hh"
 
 namespace dhdl {
 namespace {
+
+std::vector<int64_t>
+copyOf(std::span<const int64_t> vals)
+{
+    return {vals.begin(), vals.end()};
+}
 
 TEST(DivisorsTest, SmallNumbers)
 {
@@ -105,7 +114,7 @@ TEST(ParamTableTest, ToggleValues)
     d.kind = ParamKind::Toggle;
     d.minValue = 0;
     ParamId p = t.add(d);
-    EXPECT_EQ(t.legalValues(p), (std::vector<int64_t>{0, 1}));
+    EXPECT_EQ(copyOf(t.legalValues(p)), (std::vector<int64_t>{0, 1}));
 }
 
 TEST(ParamTableTest, FixedParamHasSingleValue)
@@ -116,7 +125,7 @@ TEST(ParamTableTest, FixedParamHasSingleValue)
     d.kind = ParamKind::Fixed;
     d.defaultValue = 7;
     ParamId p = t.add(d);
-    EXPECT_EQ(t.legalValues(p), (std::vector<int64_t>{7}));
+    EXPECT_EQ(copyOf(t.legalValues(p)), (std::vector<int64_t>{7}));
 }
 
 TEST(ParamTableTest, DefaultsBinding)
@@ -189,24 +198,54 @@ TEST(ParamTableTest, SharedListsMatchEachParameterListedAlone)
     for (size_t i = 0; i < t.size(); ++i) {
         ParamTable alone;
         const ParamId p = alone.add(t[ParamId(i)]);
-        EXPECT_EQ(t.legalValues(ParamId(i)), alone.legalValues(p))
+        EXPECT_EQ(copyOf(t.legalValues(ParamId(i))),
+                  copyOf(alone.legalValues(p)))
             << "param " << i;
     }
-    EXPECT_EQ(t.legalValues(3), (std::vector<int64_t>{1, 2, 3, 4, 6, 8}));
-    EXPECT_EQ(t.legalValues(4), (std::vector<int64_t>{3}));
-    EXPECT_EQ(t.legalValues(5), (std::vector<int64_t>{5}));
+    EXPECT_EQ(copyOf(t.legalValues(3)),
+              (std::vector<int64_t>{1, 2, 3, 4, 6, 8}));
+    EXPECT_EQ(copyOf(t.legalValues(4)), (std::vector<int64_t>{3}));
+    EXPECT_EQ(copyOf(t.legalValues(5)), (std::vector<int64_t>{5}));
 }
 
 TEST(ParamTableTest, EqualDefinitionsShareOneList)
 {
     const ParamTable t = mixedDefinitions();
-    const std::vector<int64_t>* shared = &t.legalValues(0);
-    EXPECT_EQ(&t.legalValues(1), shared);
-    EXPECT_EQ(&t.legalValues(8), shared);
-    // A definition that keeps every divisor holds the divisor_of's
-    // own list, whatever its kind; a narrower one holds its slice.
-    EXPECT_EQ(&t.legalValues(2), shared);
-    EXPECT_NE(&t.legalValues(3), shared);
+    const auto shared = t.legalValues(0);
+    // Parameters defined alike share one range; so does a definition
+    // that keeps every divisor, whatever its kind.
+    for (ParamId p : {1, 8, 2}) {
+        EXPECT_EQ(t.legalValues(p).data(), shared.data()) << p;
+        EXPECT_EQ(t.legalValues(p).size(), shared.size()) << p;
+    }
+    // A narrower one is a shorter range of the same divisor list.
+    EXPECT_EQ(t.legalValues(3).data(), shared.data());
+    EXPECT_EQ(t.legalValues(3).size(), 6u);
+}
+
+TEST(ParamTableTest, BoundsOnOneDivisorOfShareItsList)
+{
+    // 40 definitions on one smooth divisor_of that differ only in
+    // max: every one is a range of the single divisor list, so the
+    // table stores that list once, not once per definition.
+    constexpr int64_t kValue = 897612484786617600;
+    const size_t all = divisorsOf(kValue).size();
+    ParamTable t;
+    for (int64_t k = 0; k < 40; ++k) {
+        ParamDef d;
+        d.name = "t";
+        d.name += std::to_string(k);
+        d.kind = ParamKind::TileSize;
+        d.divisorOf = kValue;
+        d.maxValue = kValue - k;
+        t.add(d);
+    }
+    const int64_t* first = t.legalValues(0).data();
+    ASSERT_EQ(t.legalValues(0).size(), all);
+    for (ParamId p = 1; p < 40; ++p) {
+        EXPECT_EQ(t.legalValues(p).data(), first) << p;
+        EXPECT_EQ(t.legalValues(p).size(), all - 1) << p;
+    }
 }
 
 TEST(ParamTableTest, UnnamedParamRejected)

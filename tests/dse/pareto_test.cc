@@ -11,9 +11,12 @@ namespace {
 std::vector<size_t>
 front(const std::vector<std::pair<double, double>>& pts)
 {
-    return paretoFront(
-        pts.size(), [&](size_t i) { return pts[i].first; },
-        [&](size_t i) { return pts[i].second; });
+    std::vector<double> xs, ys;
+    for (const auto& [x, y] : pts) {
+        xs.push_back(x);
+        ys.push_back(y);
+    }
+    return paretoFront(xs, ys);
 }
 
 TEST(ParetoTest, SimpleFront)
@@ -133,13 +136,14 @@ TEST(ParetoFrontTest, AnyInsertionOrderMatchesBatchRebuild)
 
         // Reference: the batch scan over the usable points only.
         std::vector<size_t> keep;
-        for (size_t i = 0; i < n; ++i)
-            if (usable[i])
+        std::vector<std::pair<double, double>> kept;
+        for (size_t i = 0; i < n; ++i) {
+            if (usable[i]) {
                 keep.push_back(i);
-        auto ref = paretoFront(
-            keep.size(),
-            [&](size_t k) { return pts[keep[k]].first; },
-            [&](size_t k) { return pts[keep[k]].second; });
+                kept.push_back(pts[i]);
+            }
+        }
+        auto ref = front(kept);
         for (size_t& k : ref)
             k = keep[k];
 

@@ -92,14 +92,15 @@ checkFaultIsolation(int threads)
 
     // Expected front: the baseline points with the target pruned.
     std::vector<size_t> kept;
+    std::vector<double> xs, ys;
     for (size_t i = 0; i < baseline.points.size(); ++i) {
-        if (baseline.points[i].valid && i != target)
+        if (baseline.points[i].valid && i != target) {
             kept.push_back(i);
+            xs.push_back(baseline.points[i].area.alms);
+            ys.push_back(double(baseline.points[i].cycles));
+        }
     }
-    auto front = paretoFront(
-        kept.size(),
-        [&](size_t i) { return baseline.points[kept[i]].area.alms; },
-        [&](size_t i) { return baseline.points[kept[i]].cycles; });
+    auto front = paretoFront(xs, ys);
     std::vector<std::pair<std::vector<int64_t>, double>> expected;
     for (size_t i : front)
         expected.emplace_back(baseline.points[kept[i]].binding.values,

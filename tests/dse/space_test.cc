@@ -47,10 +47,14 @@ TEST(SpaceTest, HoldsTheTablesListsNotCopies)
     Design d = spaceDesign();
     ParamSpace space(d.graph());
     ASSERT_EQ(space.numParams(), d.params().size());
-    for (size_t p = 0; p < space.numParams(); ++p)
-        EXPECT_EQ(&space.legalValues(p),
-                  &d.params().legalValues(ParamId(p)))
+    for (size_t p = 0; p < space.numParams(); ++p) {
+        EXPECT_EQ(space.legalValues(p).data(),
+                  d.params().legalValues(ParamId(p)).data())
             << "param " << p;
+        EXPECT_EQ(space.legalValues(p).size(),
+                  d.params().legalValues(ParamId(p)).size())
+            << "param " << p;
+    }
 }
 
 TEST(SpaceTest, SampledBindingsAreWithinLegalValues)

@@ -2,8 +2,7 @@
  * @file
  * serve/protocol's JSON exports of the obs snapshots: the metrics
  * document and the streamed Chrome trace parse back through
- * serve::parseJson with every key, escape and count intact, and the
- * process trace and the per-job trace share one event format.
+ * serve::parseJson with every key, escape and count intact.
  */
 
 #include <gtest/gtest.h>
@@ -139,34 +138,6 @@ TEST(ServeExport, ChromeTraceReportsDroppedEvents)
     for (const Json& e : root.find("traceEvents")->items())
         spans += e.find("ph")->asString() == "X";
     EXPECT_EQ(spans, obs::kTraceRingCapacity);
-}
-
-TEST(ServeExport, JobAndProcessTracesShareTheEventKeys)
-{
-    dse::ExploreResult res;
-    res.stats.planSeconds = 0.002;
-    dse::RoundStats rs;
-    rs.round = 0;
-    rs.proposeSeconds = 0.001;
-    rs.evalSeconds = 0.003;
-    res.stats.rounds.push_back(rs);
-    Json job = parsed(jobTraceToJson(res).render());
-
-    obs::resetTrace();
-    obs::recordSpan("test", "plain", 0, 1);
-    Json process = processTrace();
-
-    std::set<std::set<std::string>> jobKeys, processKeys;
-    for (const Json& e : job.find("traceEvents")->items()) {
-        EXPECT_EQ(e.find("ph")->asString(), "X");
-        jobKeys.insert(keysOf(e));
-    }
-    for (const Json& e : process.find("traceEvents")->items())
-        if (e.find("ph")->asString() == "X")
-            processKeys.insert(keysOf(e));
-    EXPECT_EQ(job.find("traceEvents")->items().size(), 3u);
-    ASSERT_EQ(processKeys.size(), 1u);
-    EXPECT_EQ(jobKeys, processKeys);
 }
 
 } // namespace

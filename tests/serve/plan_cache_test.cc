@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "core/passes.hh"
 #include "core/printer.hh"
 #include "estimate/area_estimator.hh"
+#include "obs/trace.hh"
 #include "serve/protocol.hh"
 
 using namespace dhdl;
@@ -37,6 +39,17 @@ loadDesign(const std::string& name, double scale)
     PassManager pm = standardPasses();
     EXPECT_TRUE(pm.run(g, ctx).ok());
     return g;
+}
+
+/** plan-compile spans the obs trace holds, on every thread. */
+size_t
+planCompileSpans()
+{
+    size_t n = 0;
+    for (const obs::ThreadTrace& t : obs::snapshotTrace().threads)
+        for (const obs::TraceEvent& e : t.events)
+            n += std::string(e.name) == "plan-compile";
+    return n;
 }
 
 /** Round-trip through the canonical text, like a served "ir" body. */
@@ -184,19 +197,23 @@ TEST(PlanCache, CachedPlanEvaluationIsByteIdentical)
     cfg.maxPoints = 120;
     cfg.seed = 7;
 
-    // Cold: the driver compiles its own plan.
+    // Cold: the driver compiles its own plan, one span.
     Graph cold = loadDesign("gda", 0.05);
+    obs::resetTrace();
     dse::ExploreResult coldRes = ex.explore(cold, cfg);
-    EXPECT_GT(coldRes.stats.planSeconds, 0.0);
+    EXPECT_EQ(planCompileSpans(), 1u);
 
-    // Warm: the identical design through the cache, plan injected.
+    // Warm: the identical design through the cache, which compiles
+    // it once; the explore with the plan injected compiles nothing.
     PlanCache cache(4);
+    obs::resetTrace();
     auto entry = cache.acquire(loadDesign("gda", 0.05), nullptr);
+    EXPECT_EQ(planCompileSpans(), 1u);
+    obs::resetTrace();
     dse::ExploreConfig warmCfg = cfg;
     warmCfg.plan = entry->plan;
     dse::ExploreResult warmRes = ex.explore(entry->graph, warmCfg);
-    // The injected plan skips compilation: no plan time recorded.
-    EXPECT_EQ(warmRes.stats.planSeconds, 0.0);
+    EXPECT_EQ(planCompileSpans(), 0u);
 
     EXPECT_EQ(resultToJson(cold, coldRes).render(),
               resultToJson(entry->graph, warmRes).render());

@@ -2,9 +2,9 @@
  * @file
  * End-to-end serving tests over real loopback sockets: streamed
  * results byte-identical to offline exploration, plan-cache reuse
- * visible in counters and traces, admission-control rejections,
+ * visible in counters and the trace, admission-control rejections,
  * cooperative cancel, protocol hardening (malformed requests,
- * version skew), the /metrics scrape, and graceful drain.
+ * version skew), the /metrics and /trace scrapes, and graceful drain.
  */
 
 #include "serve/server.hh"
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "core/passes.hh"
 #include "core/printer.hh"
 #include "estimate/area_estimator.hh"
+#include "obs/trace.hh"
 #include "serve/client.hh"
 
 using namespace dhdl;
@@ -75,6 +77,41 @@ submitRequest(const std::string& design, const std::string& tenant,
     req.set("scale", scale);
     req.set("config", std::move(cfg));
     return req;
+}
+
+/** GET `path` from the daemon over plain HTTP, as curl would; the
+ *  whole response, status line and headers included. */
+std::string
+httpGet(int port, const std::string& path)
+{
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(uint16_t(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+    const std::string get = "GET " + path + " HTTP/1.0\r\n\r\n";
+    EXPECT_EQ(::send(fd, get.data(), get.size(), 0), ssize_t(get.size()));
+    std::string http;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
+        http.append(buf, size_t(n));
+    ::close(fd);
+    return http;
+}
+
+/** The body of a 200 response; fails the test on any other. */
+std::string
+bodyOf(const std::string& http)
+{
+    EXPECT_EQ(http.rfind("HTTP/1.0 200", 0), 0u) << http.substr(0, 64);
+    const size_t bodyAt = http.find("\r\n\r\n");
+    EXPECT_NE(bodyAt, std::string::npos);
+    return bodyAt == std::string::npos ? "" : http.substr(bodyAt + 4);
 }
 
 struct ServerFixture : ::testing::Test {
@@ -140,12 +177,15 @@ TEST_F(ServerFixture, MalformedRequestsRejectedNotDropped)
 {
     startServer();
     Client c = connect();
-    // Bad JSON, non-object, missing op, unknown op: each gets a
-    // structured ParseError response on the same connection — the
-    // session survives all four.
-    for (const char* bad :
-         {"this is not json", "[1,2,3]", "{\"x\":1}",
-          "{\"op\":\"frobnicate\"}"}) {
+    // Bad JSON, non-object, missing op, unknown ops (the last two
+    // are ops the protocol dropped for GET /trace and GET /metrics):
+    // each gets a structured ParseError response on the same
+    // connection — the session survives them all.
+    const char* const bads[] = {
+        "this is not json", "[1,2,3]", "{\"x\":1}",
+        "{\"op\":\"frobnicate\"}", "{\"op\":\"trace\",\"job\":1}",
+        "{\"op\":\"metrics\"}"};
+    for (const char* bad : bads) {
         ASSERT_TRUE(c.sendLine(bad).ok());
         Json resp;
         ASSERT_TRUE(c.recv(resp).ok()) << bad;
@@ -154,7 +194,7 @@ TEST_F(ServerFixture, MalformedRequestsRejectedNotDropped)
                   "parse-error")
             << bad;
     }
-    EXPECT_EQ(server->counters().malformed, 4u);
+    EXPECT_EQ(server->counters().malformed, std::size(bads));
     // The connection still works.
     ASSERT_TRUE(c.hello().ok());
 }
@@ -223,10 +263,12 @@ TEST_F(ServerFixture, ConcurrentTenantsStreamByteIdenticalResults)
 
 /**
  * Resubmitting the same design hits the plan cache: the hit counter
- * increments and the job's trace carries no plan-compile span.
+ * increments, and the daemon's GET /trace holds the cold submit's
+ * plan compile and no second one.
  */
 TEST_F(ServerFixture, RepeatSubmissionHitsPlanCache)
 {
+    obs::resetTrace();
     startServer();
     Client c = connect();
     ASSERT_TRUE(c.hello().ok());
@@ -256,20 +298,15 @@ TEST_F(ServerFixture, RepeatSubmissionHitsPlanCache)
     EXPECT_EQ(s1.misses, 1u);
     EXPECT_EQ(s1.hits, 1u);
 
-    auto traceOf = [&](uint64_t job) {
-        Json req = Json::object();
-        req.set("op", "trace");
-        req.set("job", job);
-        Json resp;
-        EXPECT_TRUE(c.request(req, resp).ok());
-        EXPECT_TRUE(resp.find("ok")->asBool()) << resp.render();
-        return resp.find("trace")->render();
-    };
-    // Cold job compiled the plan; the cached job must not have.
-    EXPECT_NE(traceOf(first).find("plan-compile"),
-              std::string::npos);
-    EXPECT_EQ(traceOf(second).find("plan-compile"),
-              std::string::npos);
+    // The obs trace, served and parsed back.
+    Json trace;
+    ASSERT_TRUE(parseJson(bodyOf(httpGet(server->port(), "/trace")),
+                          trace)
+                    .ok());
+    size_t compiles = 0;
+    for (const Json& e : trace.find("traceEvents")->items())
+        compiles += e.find("name")->asString() == "plan-compile";
+    EXPECT_EQ(compiles, 1u);
 
     // Identical results either way.
     auto resultOf = [&](uint64_t job) {
@@ -446,28 +483,7 @@ TEST_F(ServerFixture, MetricsEndpointParsesBack)
     ASSERT_TRUE(c.request(wait, resp).ok());
 
     // Scrape over HTTP exactly like Prometheus would.
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(uint16_t(server->port()));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof addr),
-              0);
-    const char* get = "GET /metrics HTTP/1.0\r\n\r\n";
-    ASSERT_EQ(::send(fd, get, strlen(get), 0), ssize_t(strlen(get)));
-    std::string http;
-    char buf[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
-        http.append(buf, size_t(n));
-    ::close(fd);
-
-    ASSERT_NE(http.find("HTTP/1.0 200"), std::string::npos);
-    const size_t bodyAt = http.find("\r\n\r\n");
-    ASSERT_NE(bodyAt, std::string::npos);
-    const std::string body = http.substr(bodyAt + 4);
+    const std::string body = bodyOf(httpGet(server->port(), "/metrics"));
 
     // Parse the exposition format back: every non-comment line is
     // "name value" with a numeric value.

@@ -12,7 +12,10 @@
  * new submissions are rejected with a structured admission
  * diagnostic. `GET /metrics` on the same port returns the metrics
  * registry in Prometheus exposition format, including the counters
- * and histograms that jobs record (`dhdl_dse_points_evaluated`, ...).
+ * and histograms that jobs record (`dhdl_dse_points_evaluated`, ...);
+ * `GET /trace` returns the obs trace as the Chrome-trace document
+ * `dhdlc --trace` writes: the jobs' `dse` spans and the daemon's
+ * `serve` spans, on one timeline.
  */
 
 #include <csignal>
