@@ -251,13 +251,13 @@ Server::serveHttp(int fd, const std::string& requestLine)
         status = "404 Not Found";
         body << "not found\n";
     }
-    const std::string text = body.str();
-    std::ostringstream os;
-    os << "HTTP/1.0 " << status << "\r\nContent-Type: " << type
-       << "\r\nContent-Length: " << text.size()
-       << "\r\nConnection: close\r\n\r\n"
-       << text;
-    writeAll(fd, os.str());
+    const std::string text = std::move(body).str();
+    const std::string headers =
+        std::string("HTTP/1.0 ") + status + "\r\nContent-Type: " + type +
+        "\r\nContent-Length: " + std::to_string(text.size()) +
+        "\r\nConnection: close\r\n\r\n";
+    if (writeAll(fd, headers).ok())
+        writeAll(fd, text);
 }
 
 Json

@@ -120,20 +120,16 @@ violation(const std::string& input, bool* accepted = nullptr)
     return {};
 }
 
-/**
- * violation(), plus a failure when the input takes longer than
- * kInputSeconds; `worst` keeps the slowest time seen.
- */
+/** violation(), plus a failure when the input takes longer than
+ *  kInputSeconds. */
 std::string
-timedViolation(const std::string& input, double& worst,
-               bool* accepted = nullptr)
+timedViolation(const std::string& input, bool* accepted = nullptr)
 {
     const auto t0 = std::chrono::steady_clock::now();
     std::string why = violation(input, accepted);
     const double s = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
-    worst = std::max(worst, s);
     if (why.empty() && s > kInputSeconds)
         why = "took " + std::to_string(s) + " s, over the " +
               std::to_string(kInputSeconds) + " s bound";
@@ -213,11 +209,10 @@ TEST(IRFuzz, MutatedFixturesKeepParserInvariants)
     }
     ml::Rng rng(kSeed);
     int accepted = 0;
-    double worst = 0;
     for (int i = 0; i < kBudget; ++i) {
         const std::string input = mutate(rng, corpus);
         bool ok = false;
-        const std::string why = timedViolation(input, worst, &ok);
+        const std::string why = timedViolation(input, &ok);
         ASSERT_TRUE(why.empty()) << "input " << i << ": " << why
                                  << "\n--- input ---\n" << input;
         accepted += ok ? 1 : 0;
@@ -225,7 +220,6 @@ TEST(IRFuzz, MutatedFixturesKeepParserInvariants)
     // Both sides of the parser must be exercised.
     EXPECT_GT(accepted, kBudget / 100);
     EXPECT_LT(accepted, kBudget - kBudget / 100);
-    RecordProperty("worst_input_us", int(worst * 1e6));
 }
 
 TEST(IRFuzz, RegressionInputsKeepInvariants)
@@ -236,10 +230,8 @@ TEST(IRFuzz, RegressionInputsKeepInvariants)
         files.push_back(e.path());
     std::sort(files.begin(), files.end());
     ASSERT_FALSE(files.empty());
-    double worst = 0;
     for (const auto& f : files)
-        EXPECT_EQ(timedViolation(readFile(f), worst), "") << f;
-    RecordProperty("worst_input_us", int(worst * 1e6));
+        EXPECT_EQ(timedViolation(readFile(f)), "") << f;
 }
 
 } // namespace
