@@ -4,6 +4,14 @@
 
 namespace dhdl {
 
+namespace {
+
+/** A tile or par parameter without a divisor_of lists its range from
+ *  minValue up, at most this many steps past it. */
+constexpr int64_t kMaxRangeSteps = 4096;
+
+} // namespace
+
 std::vector<int64_t>
 divisorsOf(int64_t n)
 {
@@ -124,11 +132,12 @@ ParamTable::listLegal(const ParamDef& d)
                 return Range{all.offset + size_t(lo - first),
                              size_t(hi - lo)};
         } else {
-            // At most 4097 values from minValue, never past maxValue
-            // and never past INT64_MAX.
+            // At most kMaxRangeSteps + 1 values from minValue, never
+            // past maxValue and never past INT64_MAX.
             const int64_t hi =
-                uint64_t(d.maxValue) - uint64_t(d.minValue) > 4096
-                    ? d.minValue + 4096
+                uint64_t(d.maxValue) - uint64_t(d.minValue) >
+                        uint64_t(kMaxRangeSteps)
+                    ? d.minValue + kMaxRangeSteps
                     : d.maxValue;
             std::vector<int64_t> vals;
             for (int64_t v = d.minValue;; ++v) {
@@ -141,6 +150,19 @@ ParamTable::listLegal(const ParamDef& d)
         break;
     }
     return store({d.defaultValue});
+}
+
+int64_t
+ParamTable::listedValues(const ParamDef& d)
+{
+    if (d.kind == ParamKind::Toggle)
+        return 2;
+    if ((d.kind == ParamKind::TileSize || d.kind == ParamKind::ParFactor) &&
+        d.divisorOf <= 0)
+        return int64_t(std::min(uint64_t(d.maxValue) - uint64_t(d.minValue),
+                                uint64_t(kMaxRangeSteps))) +
+               1;
+    return 1;
 }
 
 bool

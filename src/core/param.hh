@@ -107,6 +107,15 @@ class ParamTable
     /** True when the binding assigns a legal value to every param. */
     bool isLegal(const ParamBinding& b) const;
 
+    /**
+     * An upper bound on the values add() stores for a definition it
+     * has not seen, besides the divisor list of its divisor_of: a
+     * toggle's two, a range of at most 4097, or one — a definition on
+     * a divisor_of is a range of that list or, when none of the list
+     * fits its bounds, its default alone.
+     */
+    static int64_t listedValues(const ParamDef& d);
+
   private:
     using DefKey = std::tuple<ParamKind, int64_t, int64_t, int64_t,
                               int64_t>;

@@ -1,10 +1,13 @@
 #include "core/parser.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -37,7 +40,7 @@ constexpr int64_t kMaxCofactor = int64_t(1) << 40;
 
 /**
  * What listing the divisors of all of a file's distinct `divisor_of`
- * values may cost, in trial divisions (divisorListingCost() summed).
+ * values may cost, in trial divisions (DivisorListing::work summed).
  * ParamTable lists each distinct value once, so this bounds the time
  * any one file can spend there: 2^24 divisions take tens of ms, while
  * 64 distinct primes just below 2^40 would take 2^25.
@@ -45,24 +48,54 @@ constexpr int64_t kMaxCofactor = int64_t(1) << 40;
 constexpr int64_t kMaxDivisorWork = int64_t(1) << 24;
 
 /**
- * An upper bound on the trial divisions divisorsOf(n) takes, or -1
- * when n does not factor cheaply. divisorsOf() tries the same p as
- * the loop here, then goes on at most to the square root of the
- * cofactor this loop leaves.
+ * What the legal-value lists of a file's distinct parameter
+ * definitions, and the divisor lists of its distinct divisor_of
+ * values, may hold in total (ParamTable::listedValues() and
+ * DivisorListing::values summed). ParamTable stores each once, so
+ * this bounds its store at 8 MiB, while one file of 2^16 range
+ * parameters could otherwise ask for 2^16 x 4097 values (2.1 GB).
+ * The 8 apps' fixtures count at most 9,801.
  */
-int64_t
-divisorListingCost(int64_t n)
+constexpr int64_t kMaxLegalValues = int64_t(1) << 20;
+
+/** The most divisors any n <= 2^40 has (963761198400 has 6720). */
+constexpr int64_t kMaxCofactorDivisors = 6720;
+
+/** What listing the divisors of one divisor_of costs. */
+struct DivisorListing {
+    /** An upper bound on the trial divisions divisorsOf(n) takes, or
+     *  -1 when n does not factor cheaply. */
+    int64_t work = -1;
+    /** An upper bound on the number of divisors of n. */
+    int64_t values = 0;
+};
+
+/**
+ * divisorsOf() tries the same p as the loop here, then goes on at
+ * most to the square root of the cofactor this loop leaves. The
+ * divisor count multiplies the primes divided out with the most
+ * divisors the cofactor can have.
+ */
+DivisorListing
+divisorListing(int64_t n)
 {
     // Dividing out more factors only shrinks n, so stop at the cap.
-    int64_t steps = 0;
+    DivisorListing out;
+    int64_t steps = 0, values = 1;
     for (int64_t p = 2; n > kMaxCofactor && p <= kMaxTrialDivisor;
-         p += p == 2 ? 1 : 2, ++steps)
-        while (n % p == 0)
+         p += p == 2 ? 1 : 2, ++steps) {
+        int64_t k = 0;
+        for (; n % p == 0; ++k)
             n /= p;
+        values *= k + 1;
+    }
     if (n > kMaxCofactor)
-        return -1;
-    return steps + int64_t(std::sqrt(double(n))) / 2 + 2;
+        return out;
+    out.work = steps + int64_t(std::sqrt(double(n))) / 2 + 2;
+    out.values = values * std::min(n, kMaxCofactorDivisors);
+    return out;
 }
+
 
 /**
  * Internal parse failure. Thrown inside the parser, converted to a
@@ -561,13 +594,13 @@ class Parser
         if (d.minValue > d.maxValue)
             c.fail("parameter '" + d.name + "' has empty range");
         if (d.divisorOf > 0 && divisorOfs_.insert(d.divisorOf).second) {
-            const int64_t cost = divisorListingCost(d.divisorOf);
-            if (cost < 0)
+            const DivisorListing listing = divisorListing(d.divisorOf);
+            if (listing.work < 0)
                 c.fail("parameter '" + d.name + "' has divisor_of=" +
                        std::to_string(d.divisorOf) +
                        ", which leaves a factor above 2^40 after trial "
                        "division up to 2^20");
-            divisorWork_ += cost;
+            divisorWork_ += listing.work;
             if (divisorWork_ > kMaxDivisorWork)
                 c.fail("parameter '" + d.name + "' has divisor_of=" +
                        std::to_string(d.divisorOf) +
@@ -575,7 +608,18 @@ class Parser
                        std::to_string(divisorOfs_.size()) +
                        " distinct divisor_of values past 2^24 trial "
                        "divisions to list");
+            legalValues_ += listing.values;
         }
+        if (distinctDefs_
+                .insert({d.kind, d.divisorOf, d.minValue, d.maxValue,
+                         d.defaultValue})
+                .second)
+            legalValues_ += ParamTable::listedValues(d);
+        if (legalValues_ > kMaxLegalValues)
+            c.fail("parameter '" + d.name +
+                   "' brings the legal values of the file's " +
+                   std::to_string(distinctDefs_.size()) +
+                   " distinct parameter definitions past 2^20");
         c.expectEnd();
         params_.push_back(std::move(d));
     }
@@ -820,7 +864,13 @@ class Parser
     /** The param section, added to the graph as it ends. */
     std::vector<ParamDef> params_;
     std::unordered_set<int64_t> divisorOfs_; //!< Distinct divisor_of.
-    int64_t divisorWork_ = 0; //!< divisorListingCost() over them.
+    int64_t divisorWork_ = 0; //!< DivisorListing::work over them.
+    /** Distinct definitions: kind, divisor_of, min, max, default. */
+    std::set<std::tuple<ParamKind, int64_t, int64_t, int64_t, int64_t>>
+        distinctDefs_;
+    /** ParamTable::listedValues() and DivisorListing::values over
+     *  them. */
+    int64_t legalValues_ = 0;
     Section section_ = Section::Header;
     bool seen_header_ = false;
     bool seen_root_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <sstream>
 #include <utility>
 
 #include "ml/serialize.hh"
@@ -183,6 +184,23 @@ AreaEstimator::AreaEstimator(fpga::Device dev, std::istream& is)
     auto rate = ml::readDoubles(is, "pack_rate");
     require(rate.size() == 1, "bad pack-rate record");
     packRate_ = rate.front();
+    // estimateBatch() indexes by these shapes unchecked, so a file
+    // whose models do not fit the 11 design features, the 3 effect
+    // columns or the 1-input BRAM fit is refused here.
+    for (const ml::Mlp* net : {&routeNet_, &dupRegNet_, &unavailNet_})
+        require(net->layers().front() == int(kDesignFeatures) &&
+                    net->layers().back() == 1,
+                "calibration effect network is not 11-in, 1-out",
+                DiagCode::ParseError);
+    require(featScaler_.lowerBounds().size() == kDesignFeatures,
+            "calibration feature scaler is not 11 wide",
+            DiagCode::ParseError);
+    require(targetScaler_.lowerBounds().size() == 3,
+            "calibration target scaler is not 3 wide",
+            DiagCode::ParseError);
+    require(bramDup_.weights().size() == 1,
+            "calibration BRAM-duplication fit is not 1-input",
+            DiagCode::ParseError);
 }
 
 void
@@ -537,11 +555,12 @@ defaultToolchain()
 const AreaEstimator&
 calibratedEstimator()
 {
-    // The one-time calibration is the first thing most runs do; its
-    // span makes that gap visible at the start of a trace.
+    // Loading the committed calibration is the first thing most runs
+    // do; its span makes that step visible at the start of a trace.
     static const AreaEstimator est = [] {
         DHDL_OBS_SPAN("estimate", "calibrate");
-        return AreaEstimator(defaultToolchain());
+        std::istringstream is{std::string(embeddedCalibration())};
+        return AreaEstimator(fpga::Device::maia(), is);
     }();
     return est;
 }

@@ -14,6 +14,10 @@
  *
  * The estimator is calibrated once per device + toolchain: template
  * characterization plus ANN training on 200 random design samples.
+ * The MAIA calibration is committed as data
+ * (estimate/dhdl_calibration.txt) and compiled in, so a process loads
+ * it instead of training; `dhdlc calibrate --out src/estimate`
+ * regenerates it.
  */
 
 #ifndef DHDL_ESTIMATE_AREA_ESTIMATOR_HH
@@ -21,6 +25,7 @@
 
 #include <iostream>
 #include <memory>
+#include <string_view>
 
 #include "analysis/instance.hh"
 #include "estimate/area_model.hh"
@@ -158,7 +163,9 @@ class AreaEstimator
 
     /**
      * Restore a previously calibrated estimator from a stream (see
-     * save()); `dev` must be the device it was calibrated for.
+     * save()); `dev` must be the device it was calibrated for. Throws
+     * FatalError on a malformed file, or on models whose shapes the
+     * estimator cannot use.
      */
     AreaEstimator(fpga::Device dev, std::istream& is);
 
@@ -250,8 +257,16 @@ class AreaEstimator
 };
 
 /**
- * Process-wide calibrated estimator against the default MAIA board
- * toolchain (calibration runs once, lazily).
+ * The committed calibration against the default MAIA board toolchain,
+ * in save() format: the bytes of
+ * AreaEstimator(defaultToolchain()).save(), compiled in from
+ * estimate/dhdl_calibration.txt.
+ */
+std::string_view embeddedCalibration();
+
+/**
+ * Process-wide estimator for the default MAIA board toolchain, loaded
+ * once, lazily, from embeddedCalibration(); no process trains it.
  */
 const AreaEstimator& calibratedEstimator();
 

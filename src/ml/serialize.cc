@@ -138,10 +138,15 @@ loadMlp(std::istream& is)
               "MLP layer size out of range in model file");
         layers.push_back(int(d));
     }
-    Mlp net(layers);
+    // The weights record must match the layers before the network is
+    // built: 64 layers of 10^6 would ask Mlp for 6.3e13 weights.
+    size_t num_weights = 0;
+    for (size_t l = 0; l + 1 < layers.size(); ++l)
+        num_weights += size_t(layers[l] + 1) * size_t(layers[l + 1]);
     auto weights = readDoubles(is, "mlp_weights");
-    check(weights.size() == net.numWeights(),
+    check(weights.size() == num_weights,
           "MLP weight count mismatch in model file");
+    Mlp net(layers);
     net.params() = std::move(weights);
     return net;
 }

@@ -2,8 +2,9 @@
  * @file
  * Plain-text serialization for the ML substrate. Calibrating the
  * estimators (template characterization + ANN training) is a one-off
- * per device + toolchain; persisting the fitted models lets tools
- * skip recalibration across processes. The format is line-oriented
+ * per device + toolchain; the MAIA calibration is committed in this
+ * format and compiled in (est::embeddedCalibration()), so no process
+ * retrains it. The format is line-oriented
  * and versioned: a `# dhdl-model v1` magic line, then a
  * `<tag> <count> v1` record header, then whitespace-separated
  * doubles written with max_digits10 so round-trips are bit-exact.
@@ -18,7 +19,7 @@
  * refused the same way.
  *
  * The one reader is est::AreaEstimator(device, stream) (with its
- * AreaModel::load), which reloads a persisted calibration. The DSE
+ * AreaModel::load), which loads the embedded calibration. The DSE
  * surrogate keeps its models in memory for one run and writes no
  * file.
  */

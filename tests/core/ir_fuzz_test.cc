@@ -20,8 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -32,6 +30,7 @@
 #include "core/passes.hh"
 #include "core/printer.hh"
 #include "ml/rng.hh"
+#include "../fuzz_mutator.hh"
 
 #ifndef DHDL_IR_DATA_DIR
 #define DHDL_IR_DATA_DIR "."
@@ -53,12 +52,13 @@ const char* const kFixtures[] = {
     "blackscholes", "gda", "kmeans", "conv2d",
 };
 
+/** What separates the tokens of a `.dhdl` line. */
+const char* const kSeparators = " =[],:()";
+
 /** Values that sit on or past the edge of what a field accepts. */
 const char* const kExtremes[] = {
     "-1", "0", "9223372036854775807", "$99", "nan", "u0", "\"\"", "[]",
 };
-
-using Lines = std::vector<std::string>;
 
 std::string
 readFile(const std::filesystem::path& path)
@@ -67,16 +67,6 @@ readFile(const std::filesystem::path& path)
     std::ostringstream os;
     os << is.rdbuf();
     return os.str();
-}
-
-Lines
-splitLines(const std::string& text)
-{
-    Lines lines;
-    std::istringstream is(text);
-    for (std::string line; std::getline(is, line);)
-        lines.push_back(line);
-    return lines;
 }
 
 /**
@@ -125,92 +115,23 @@ violation(const std::string& input, bool* accepted = nullptr)
 std::string
 timedViolation(const std::string& input, bool* accepted = nullptr)
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::string why = violation(input, accepted);
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    if (why.empty() && s > kInputSeconds)
-        why = "took " + std::to_string(s) + " s, over the " +
-              std::to_string(kInputSeconds) + " s bound";
-    return why;
-}
-
-/** Replace one token of `line` (a run outside ` =[],:()`) by `to`. */
-void
-replaceToken(std::string& line, ml::Rng& rng, const std::string& to)
-{
-    const char* const kSep = " =[],:()";
-    std::vector<size_t> starts;
-    for (size_t i = 0; i < line.size(); ++i) {
-        bool sep = std::strchr(kSep, line[i]) != nullptr;
-        bool after_sep = i == 0 || std::strchr(kSep, line[i - 1]);
-        if (!sep && after_sep)
-            starts.push_back(i);
-    }
-    if (starts.empty())
-        return;
-    size_t b = starts[size_t(rng.uniformInt(0, int64_t(starts.size()) - 1))];
-    size_t e = line.find_first_of(kSep, b);
-    line.replace(b, e == std::string::npos ? std::string::npos : e - b, to);
-}
-
-/** Mostly one edit of one fixture, sometimes two or three. */
-std::string
-mutate(ml::Rng& rng, const std::vector<Lines>& corpus)
-{
-    auto pick = [&rng](size_t n) {
-        return size_t(rng.uniformInt(0, int64_t(n) - 1));
-    };
-    Lines lines = corpus[pick(corpus.size())];
-    int64_t edits = rng.uniformInt(0, 3) ? 1 : rng.uniformInt(2, 3);
-    for (; edits > 0; --edits) {
-        if (lines.empty())
-            break;
-        size_t at = pick(lines.size());
-        std::string& line = lines[at];
-        switch (rng.uniformInt(0, 3)) {
-          case 0: // Byte flip.
-            if (!line.empty())
-                line[pick(line.size())] ^= char(1 << rng.uniformInt(0, 7));
-            break;
-          case 1: // Extreme value in place of one token.
-            replaceToken(line, rng,
-                         kExtremes[pick(std::size(kExtremes))]);
-            break;
-          case 2: // Line deletion.
-            lines.erase(lines.begin() + std::ptrdiff_t(at));
-            break;
-          default: { // Splice in a line of any fixture.
-            const Lines& from = corpus[pick(corpus.size())];
-            std::string other = from[pick(from.size())];
-            if (rng.uniformInt(0, 1))
-                line = std::move(other);
-            else
-                lines.insert(lines.begin() + std::ptrdiff_t(at),
-                             std::move(other));
-            break;
-          }
-        }
-    }
-    std::string out;
-    for (const std::string& l : lines)
-        out += l + "\n";
-    return out;
+    return fuzz::timed([&] { return violation(input, accepted); },
+                       kInputSeconds);
 }
 
 TEST(IRFuzz, MutatedFixturesKeepParserInvariants)
 {
-    std::vector<Lines> corpus;
+    std::vector<fuzz::Lines> corpus;
     for (const char* app : kFixtures) {
-        corpus.push_back(splitLines(readFile(
+        corpus.push_back(fuzz::splitLines(readFile(
             std::string(DHDL_IR_DATA_DIR) + "/golden/" + app + ".dhdl")));
         ASSERT_FALSE(corpus.back().empty()) << "missing fixture " << app;
     }
     ml::Rng rng(kSeed);
     int accepted = 0;
     for (int i = 0; i < kBudget; ++i) {
-        const std::string input = mutate(rng, corpus);
+        const std::string input =
+            fuzz::mutate(rng, corpus, kSeparators, kExtremes);
         bool ok = false;
         const std::string why = timedViolation(input, &ok);
         ASSERT_TRUE(why.empty()) << "input " << i << ": " << why

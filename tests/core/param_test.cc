@@ -106,6 +106,33 @@ TEST(ParamTableTest, UnboundedRangeStopsAtInt64Max)
     EXPECT_EQ(wide.back(), INT64_MIN + 4096);
 }
 
+// The parser bounds a file's legal values with listedValues(), so it
+// must count what add() lists for every definition without a
+// divisor_of.
+TEST(ParamTableTest, ListedValuesCountsWhatAddLists)
+{
+    ParamTable t;
+    auto def = [](ParamKind kind, int64_t lo, int64_t hi) {
+        ParamDef d;
+        d.name = "p";
+        d.kind = kind;
+        d.minValue = lo;
+        d.maxValue = hi;
+        d.defaultValue = lo;
+        return d;
+    };
+    for (const ParamDef& d :
+         {def(ParamKind::Toggle, 0, 1), def(ParamKind::Fixed, 7, 7),
+          def(ParamKind::ParFactor, 1, 10),
+          def(ParamKind::TileSize, INT64_MAX - 7, INT64_MAX),
+          def(ParamKind::TileSize, INT64_MIN, INT64_MAX)}) {
+        const ParamId p = t.add(d);
+        EXPECT_EQ(int64_t(t.legalValues(p).size()),
+                  ParamTable::listedValues(d))
+            << d.minValue << ".." << d.maxValue;
+    }
+}
+
 TEST(ParamTableTest, ToggleValues)
 {
     ParamTable t;

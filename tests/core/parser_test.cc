@@ -385,6 +385,33 @@ readFixture(const std::string& name)
     return ss.str();
 }
 
+/** The legal values of a file's distinct parameter definitions may
+ *  total 2^20: the fixture's range parameters list 4097 each, so its
+ *  4,000 fail at the 255th, before any parameter is added, while 250
+ *  of them parse. */
+TEST(ParserTest, LegalValuesAreBoundedPerFile)
+{
+    const std::string ranges =
+        readFixture("fuzz/range-params-distinct-bounds.dhdl");
+    ParseResult res = parseIR(ranges);
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status.diag().code, DiagCode::ParseError);
+    const std::string& msg = res.status.diag().message;
+    EXPECT_NE(msg.find("parameter 'r255'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("past 2^20"), std::string::npos) << msg;
+
+    std::string fewer;
+    std::istringstream lines(ranges);
+    for (std::string line; std::getline(lines, line);) {
+        const bool extra = line.rfind("param \"r", 0) == 0;
+        if (!extra || std::stoi(line.substr(8)) <= 250)
+            fewer += line + "\n";
+    }
+    res = parseIR(fewer);
+    ASSERT_TRUE(res.ok()) << res.status.diag().str();
+    EXPECT_EQ(res.graph->params().size(), 4u + 250u);
+}
+
 /** A file's distinct divisor_of values may cost 2^24 trial divisions
  *  to list, in total: each prime just below 2^40 costs 2^19, so the
  *  fixture's 64 fail at the 32nd, while any number of parameters on

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "estimate/area_estimator.hh"
@@ -55,6 +56,56 @@ TEST(PersistTest, AreaModelRoundTrip)
     auto b = back.cost(t);
     EXPECT_DOUBLE_EQ(a.totalLuts(), b.totalLuts());
     EXPECT_DOUBLE_EQ(a.dsps, b.dsps);
+}
+
+/** Where `a` and `b` first differ, for a readable failure. */
+std::string
+firstDifference(const std::string& a, const std::string& b)
+{
+    const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(),
+                                        b.end());
+    const size_t at = size_t(ia - a.begin());
+    const size_t line = size_t(std::count(a.begin(), ia, '\n')) + 1;
+    return "first difference at byte " + std::to_string(at) +
+           " (line " + std::to_string(line) + "); sizes " +
+           std::to_string(a.size()) + " and " + std::to_string(b.size());
+}
+
+std::string
+freshCalibration(uint64_t seed)
+{
+    std::ostringstream os;
+    AreaEstimator(defaultToolchain(), 200, seed).save(os);
+    return os.str();
+}
+
+// The committed calibration is what a fresh calibration renders, byte
+// for byte. When a model change breaks this, regenerate the file in
+// the same change with `dhdlc calibrate --out src/estimate`.
+TEST(CalibrationTest, EmbeddedMatchesFreshCalibration)
+{
+    const std::string fresh = freshCalibration(0xA11CE);
+    const std::string embedded(embeddedCalibration());
+    EXPECT_TRUE(fresh == embedded)
+        << "src/estimate/dhdl_calibration.txt is stale: "
+        << firstDifference(fresh, embedded)
+        << "; regenerate it with `dhdlc calibrate --out src/estimate`";
+}
+
+// The comparison above can fail: another training seed renders other
+// bytes.
+TEST(CalibrationTest, OtherSeedDiffersFromEmbedded)
+{
+    EXPECT_TRUE(freshCalibration(0xA11CE ^ 1) != embeddedCalibration());
+}
+
+// calibratedEstimator() is the embedded calibration, not a retrain.
+TEST(CalibrationTest, CalibratedEstimatorSavesEmbeddedBytes)
+{
+    std::ostringstream os;
+    calibratedEstimator().save(os);
+    EXPECT_TRUE(os.str() == embeddedCalibration())
+        << firstDifference(os.str(), std::string(embeddedCalibration()));
 }
 
 TEST(PersistTest, CorruptHeaderIsFatal)

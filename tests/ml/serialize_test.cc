@@ -202,6 +202,14 @@ TEST(SerializeHardening, CorruptMlpLayersAreRejected)
         writeDoubles(ss, "mlp_weights", {});
         expectParseError([&] { loadMlp(ss); }, "MLP layer count out of range");
     }
+    {
+        // Layers that each pass but together ask for 10^12 weights
+        // fail on the weights record, before the network is built.
+        std::stringstream ss;
+        writeDoubles(ss, "mlp_layers", {11, 1e6, 1e6, 1});
+        writeDoubles(ss, "mlp_weights", std::vector<double>(79, 0.5));
+        expectParseError([&] { loadMlp(ss); }, "MLP weight count mismatch");
+    }
 }
 
 TEST(SerializeHardening, ParseFailuresCarryParseErrorCode)

@@ -27,10 +27,12 @@
  * the MaxJ kernel and manager for the best point; `emit-ir` writes
  * the canonical `.dhdl` serialization to stdout (round-trippable:
  * `dhdlc emit-ir gda > gda.dhdl && dhdlc explore gda.dhdl`); `print`
- * dumps the human-readable hierarchy; `calibrate` runs
- * characterization + ANN training and persists the calibration to
- * <DIR>/dhdl_calibration.txt (reloadable via
- * est::AreaEstimator(device, stream)).
+ * dumps the human-readable hierarchy; `calibrate` runs a fresh
+ * characterization + ANN training against the default toolchain and
+ * writes the calibration to <DIR>/dhdl_calibration.txt (reloadable
+ * via est::AreaEstimator(device, stream)). Every other command loads
+ * the calibration compiled in from src/estimate/dhdl_calibration.txt,
+ * and `dhdlc calibrate --out src/estimate` regenerates that file.
  *
  * Every load goes through apps::loadDesign(), the loader dhdld uses
  * too: built or parsed, the design runs the standard analysis pass
@@ -481,9 +483,16 @@ runCommand(const Args& args)
     if (args.command == "list")
         return cmdList();
     if (args.command == "calibrate") {
+        // Train afresh: saving calibratedEstimator() would only copy
+        // out the compiled-in bytes, however stale.
         std::string path = args.out + "/dhdl_calibration.txt";
         std::ofstream out(path);
-        est::calibratedEstimator().save(out);
+        est::AreaEstimator(est::defaultToolchain()).save(out);
+        out.close();
+        if (!out) {
+            std::cerr << "dhdlc: cannot write " << path << "\n";
+            return 1;
+        }
         std::cout << "wrote " << path << "\n";
         return 0;
     }
